@@ -151,25 +151,62 @@ class _Degenerate(Exception):
     """Internal signal: the descent found det(T(X)) collapsing to zero."""
 
 
-def _herm_basis_expand(v: np.ndarray, n: int) -> np.ndarray:
-    """Traceless Hermitian matrix from n*n - 1 real coordinates (an isometry
-    for the Frobenius norm)."""
-    h = np.zeros((n, n), dtype=complex)
+def _herm_basis(n: int) -> np.ndarray:
+    """Orthonormal basis (Frobenius inner product) of the traceless Hermitian
+    n x n matrices, stacked as an array of shape (n*n - 1, n, n)."""
+    basis = np.zeros((n * n - 1, n, n), dtype=complex)
     idx = 0
     inv_sqrt2 = 1.0 / math.sqrt(2.0)
     for i in range(n):
         for j in range(i + 1, n):
-            re, im = v[idx], v[idx + 1]
+            basis[idx, i, j] = basis[idx, j, i] = inv_sqrt2
+            basis[idx + 1, i, j] = -1j * inv_sqrt2
+            basis[idx + 1, j, i] = 1j * inv_sqrt2
             idx += 2
-            h[i, j] = (re - 1j * im) * inv_sqrt2
-            h[j, i] = (re + 1j * im) * inv_sqrt2
     for k in range(1, n):
-        coeff = v[idx] / math.sqrt(k * (k + 1))
+        coeff = 1.0 / math.sqrt(k * (k + 1))
+        basis[idx, np.arange(k), np.arange(k)] = coeff
+        basis[idx, k, k] = -k * coeff
         idx += 1
-        for i in range(k):
-            h[i, i] += coeff
-        h[k, k] -= k * coeff
-    return h
+    return basis
+
+
+def _exp_divided_differences(w: np.ndarray) -> np.ndarray:
+    """First divided differences of exp at the points w.
+
+    Entry (i, j) is (e^wi - e^wj) / (wi - wj), written as
+    exp((wi + wj)/2) sinh(d)/d with d = (wi - wj)/2 so that nearly equal
+    points lose no digits; below |d| = 1e-3 the Taylor series of sinh(d)/d
+    (error under d^6/5040) replaces the quotient.
+    """
+    d = 0.5 * (w[:, None] - w[None, :])
+    small = np.abs(d) < 1e-3
+    safe = np.where(small, 1.0, d)
+    d2 = d * d
+    ratio = np.where(small, 1.0 + d2 / 6.0 * (1.0 + d2 / 20.0), np.sinh(safe) / safe)
+    return np.exp(0.5 * (w[:, None] + w[None, :])) * ratio
+
+
+def _logdet_oracle(t: CPOperator, h: np.ndarray) -> tuple[float, np.ndarray]:
+    """Value f(H) = (1/m) log det T(exp H) and its exact gradient.
+
+    The gradient is the Hermitian matrix M with d/ds f(H + sE) = Re tr(M E)
+    for every Hermitian E. With G = T*(T(X)^-1) at X = exp(H) and
+    H = U diag(w) U*, the Daleckii-Krein formula gives
+    M = (1/m) U (L o U* G U) U*, where L holds the divided differences of
+    exp at w and o is the entrywise product. Raises _Degenerate when T(X)
+    is singular.
+    """
+    # expm_hermitian inlined: the same eigh supplies the divided differences.
+    w, u = eigh(h)
+    x = hermitian_part((u * np.exp(w)) @ u.conj().T)
+    wt, vt = eigh(apply(t, x))
+    if wt.min(initial=1.0) <= 0:
+        raise _Degenerate
+    value = float(np.sum(np.log(wt)) / t.m)
+    g = dual_apply(t, (vt / wt) @ vt.conj().T)
+    inner = _exp_divided_differences(w) * (u.conj().T @ g @ u)
+    return value, (u @ inner @ u.conj().T) / t.m
 
 
 def cap_direct_pd(
@@ -181,9 +218,12 @@ def cap_direct_pd(
 ) -> CapacityReport:
     """Minimize the capacity ratio over X = exp(H), H traceless Hermitian.
 
-    det(X) = 1 on this chart, so the objective is (1/m) log det(T(exp H)).
+    det(X) = 1 on this chart, so the objective is (1/m) log det(T(exp H)),
+    descended by BFGS with the exact gradient from _logdet_oracle.
     Degeneracy (capacity zero) is declared when the objective falls more
-    than degenerate_drop below its value at X = I, or T(X) loses rank.
+    than degenerate_drop below its value at X = I, or T(X) loses rank. The
+    flag NoConvergence marks a result whose best restart did not meet the
+    optimizer's stopping test.
     """
     n, m = t.n, t.m
     w0, _ = eigh(apply(t, np.eye(n, dtype=complex)))
@@ -191,16 +231,6 @@ def cap_direct_pd(
         return CapacityReport(0.0, Method.DIRECT_PD, 0.0, 0, None, ("Degenerate",))
     f_ref = float(np.sum(np.log(w0)) / m)
     floor = f_ref - degenerate_drop
-
-    def objective(v: np.ndarray) -> float:
-        x = expm_hermitian(_herm_basis_expand(v, n))
-        w, _ = eigh(apply(t, x))
-        if w.min(initial=1.0) <= 0:
-            raise _Degenerate
-        val = float(np.sum(np.log(w)) / m)
-        if val < floor:
-            raise _Degenerate
-        return val
 
     dim = n * n - 1
     if dim == 0:
@@ -213,54 +243,50 @@ def cap_direct_pd(
             (),
         )
 
-    fd_step = 1e-6
+    basis = _herm_basis(n)
+    flat_basis = basis.reshape(dim, n * n).conj()
 
-    def gradient(v: np.ndarray) -> np.ndarray:
-        g = np.zeros(dim)
-        for i in range(dim):
-            e = np.zeros(dim)
-            e[i] = fd_step
-            g[i] = (objective(v + e) - objective(v - e)) / (2.0 * fd_step)
-        return g
+    def objective(v: np.ndarray) -> tuple[float, np.ndarray]:
+        val, grad = _logdet_oracle(t, np.tensordot(v, basis, axes=1))
+        if val < floor:
+            raise _Degenerate
+        return val, (flat_basis @ grad.reshape(n * n)).real
 
     rng = np.random.default_rng(seed)
     starts = [np.zeros(dim)] + [
         0.3 * rng.standard_normal(dim) for _ in range(max(restarts - 1, 0))
     ]
-    best_v, best_f = None, np.inf
+    best = None
     iterations = 0
-    residual = np.inf
     try:
         for v0 in starts:
             res = minimize(
                 objective,
                 v0,
-                jac=gradient,
+                jac=True,
                 method="BFGS",
                 options={"gtol": max(tol, 1e-8), "maxiter": 300},
             )
             iterations += int(res.nit)
-            if res.fun < best_f:
-                best_f = float(res.fun)
-                best_v = res.x
-                residual = float(np.linalg.norm(res.jac))
+            if best is None or res.fun < best.fun:
+                best = res
     except _Degenerate:
         return CapacityReport(0.0, Method.DIRECT_PD, 0.0, iterations, None, ("Degenerate",))
 
-    x_best = expm_hermitian(_herm_basis_expand(best_v, n))
+    x_best = expm_hermitian(np.tensordot(best.x, basis, axes=1))
     return CapacityReport(
-        float(np.exp(best_f)),
+        float(np.exp(best.fun)),
         Method.DIRECT_PD,
-        residual,
+        float(np.linalg.norm(best.jac)),
         iterations,
         {"x": x_best},
-        (),
+        () if best.success else ("NoConvergence",),
     )
 
 
 def _unitary_expand(v: np.ndarray, n: int) -> np.ndarray:
     """Unitary exp(i H) from n*n real coordinates for the Hermitian H."""
-    h = _herm_basis_expand(v[: n * n - 1], n) if n > 1 else np.zeros((1, 1), dtype=complex)
+    h = np.tensordot(v[: n * n - 1], _herm_basis(n), axes=1)
     h = h + (v[n * n - 1] / math.sqrt(n)) * np.eye(n)
     w, vec = eigh(h)
     return (vec * np.exp(1j * w)) @ vec.conj().T

@@ -45,7 +45,6 @@ _CONFIG_KEYS = {
     "residual_tol",
     "scales",
     "direction",
-    "jobs",
     "theta",
     "check_psi",
     "check_scaling",
@@ -272,7 +271,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p_probe.add_argument("--direction", choices=["random", "scaling"])
     p_probe.add_argument("--scales", help="comma separated perturbation scales")
     p_probe.add_argument("--tol", type=float)
-    p_probe.add_argument("--jobs", type=int)
     p_probe.add_argument("-o", "--output")
 
     for sp in (p_cap, p_cap0, p_coeffs, p_psi, p_entropy, p_scale, p_probe):

@@ -110,7 +110,7 @@ def apply(t: CPOperator, x) -> np.ndarray:
     if x.shape != (t.n, t.n):
         raise DimensionMismatch(f"input must be {t.n} x {t.n}, got {x.shape}")
     a = t._kraus_stack
-    y = np.einsum("kip,pq,kjq->ij", a, x, a.conj(), optimize=True)
+    y = (a @ x @ a.conj().transpose(0, 2, 1)).sum(axis=0)
     # A Hermitian input must map to a Hermitian output; kill roundoff skew.
     if np.linalg.norm(x - x.conj().T) <= 1e-13 * max(1.0, np.linalg.norm(x)):
         y = hermitian_part(y)
@@ -123,7 +123,7 @@ def dual_apply(t: CPOperator, y) -> np.ndarray:
     if y.shape != (t.m, t.m):
         raise DimensionMismatch(f"input must be {t.m} x {t.m}, got {y.shape}")
     a = t._kraus_stack
-    out = np.einsum("kpi,pq,kqj->ij", a.conj(), y, a, optimize=True)
+    out = (a.conj().transpose(0, 2, 1) @ y @ a).sum(axis=0)
     if np.linalg.norm(y - y.conj().T) <= 1e-13 * max(1.0, np.linalg.norm(y)):
         out = hermitian_part(out)
     return out

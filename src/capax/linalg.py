@@ -96,42 +96,12 @@ def haar_unitary(dim: int, rng) -> np.ndarray:
     return q * (d / np.abs(d))
 
 
-def max_singular_value(a, tol: float = 1e-10, max_iter: int = 20000) -> float:
-    """Largest singular value by power iteration on A*A.
-
-    Deterministic: starts from two fixed pseudo-random vectors and returns
-    the larger Rayleigh estimate once the relative change drops below tol.
-    """
+def max_singular_value(a) -> float:
+    """Largest singular value (the spectral norm), computed by a dense SVD."""
     a = _as_complex_matrix(a)
     if a.size == 0:
         return 0.0
-    if a.shape[0] < a.shape[1]:
-        a = a.conj().T
-    fro = np.linalg.norm(a)
-    if fro == 0.0:
-        return 0.0
-
-    best = 0.0
-    for seed in (0x5EED, 0xA11CE):
-        gen = np.random.default_rng(seed)
-        v = gen.standard_normal(a.shape[1]) + 1j * gen.standard_normal(a.shape[1])
-        v /= np.linalg.norm(v)
-        sigma_prev = -1.0
-        for _ in range(max_iter):
-            w = a @ v
-            sigma = np.linalg.norm(w)
-            if sigma == 0.0:
-                break
-            v = a.conj().T @ w
-            nv = np.linalg.norm(v)
-            if nv == 0.0:
-                break
-            v /= nv
-            if abs(sigma - sigma_prev) <= tol * max(sigma, 1e-300):
-                break
-            sigma_prev = sigma
-        best = max(best, float(sigma))
-    return best
+    return float(np.linalg.norm(a, 2))
 
 
 def random_hermitian(dim: int, rng, scale: float = 1.0) -> np.ndarray:

@@ -17,6 +17,7 @@ from capax import (
     cap_unitary_search,
     cap_via_scaling,
     capacity_ratio,
+    expm_hermitian,
     haar_unitary,
     identity_channel,
     report_to_dict,
@@ -24,7 +25,8 @@ from capax import (
     scaling_step,
     trace_channel,
 )
-from capax.capacity import ScalingState, _marginal_residuals
+import capax.capacity
+from capax.capacity import ScalingState, _herm_basis, _logdet_oracle, _marginal_residuals
 from conftest import make_op
 
 
@@ -71,6 +73,58 @@ def test_direct_witness_reproduces_value():
     report = cap_direct_pd(t)
     ratio = capacity_ratio(t, report.witness["x"])
     assert abs(ratio - report.value) <= 1e-8 * max(report.value, 1.0)
+
+
+@pytest.mark.parametrize("n,m,k", [(2, 2, 2), (2, 3, 2), (3, 2, 2), (3, 3, 3), (3, 4, 2), (4, 3, 3)])
+def test_logdet_oracle_gradient_matches_central_differences(n, m, k):
+    t = make_op(n, m, k, seed=100 * n + 10 * m + k)
+    basis = _herm_basis(n)
+    rng = np.random.default_rng(n * m * k)
+    step = 1e-6
+    # H = 0 repeats every eigenvalue, so the Taylor branch of the divided
+    # differences carries the whole gradient there.
+    points = [np.zeros(n * n - 1)] + [0.5 * rng.standard_normal(n * n - 1) for _ in range(4)]
+    for v in points:
+        h = np.tensordot(v, basis, axes=1)
+        value, grad = _logdet_oracle(t, h)
+        assert_allclose(grad, grad.conj().T, atol=1e-14)
+        exact = np.array([np.vdot(b, grad).real for b in basis])
+        central = np.array(
+            [
+                (_logdet_oracle(t, h + step * b)[0] - _logdet_oracle(t, h - step * b)[0])
+                / (2 * step)
+                for b in basis
+            ]
+        )
+        assert np.linalg.norm(exact - central) <= 1e-6 * np.linalg.norm(exact)
+        # det exp(H) = 1 for traceless H, so the value is the log capacity ratio
+        ratio = capacity_ratio(t, expm_hermitian(h))
+        assert abs(value - np.log(ratio)) <= 1e-12 * max(abs(value), 1.0)
+
+
+def test_herm_basis_is_orthonormal_and_traceless():
+    for n in (1, 2, 3, 4):
+        basis = _herm_basis(n)
+        flat = basis.reshape(n * n - 1, n * n)
+        assert_allclose(flat.conj() @ flat.T, np.eye(n * n - 1), atol=1e-14)
+        assert_allclose(basis, basis.conj().transpose(0, 2, 1), atol=0)
+        assert_allclose(np.trace(basis, axis1=1, axis2=2), 0.0, atol=1e-15)
+
+
+def test_direct_flags_no_convergence(monkeypatch):
+    for t in (make_op(2, 2, 2, seed=1), make_op(2, 3, 2, seed=2), make_op(3, 3, 2, seed=7)):
+        assert cap_direct_pd(t).flags == ()
+    real_minimize = capax.capacity.minimize
+
+    def stalled(*args, **kwargs):
+        res = real_minimize(*args, **kwargs)
+        res.success = False
+        return res
+
+    monkeypatch.setattr(capax.capacity, "minimize", stalled)
+    report = cap_direct_pd(make_op(2, 2, 2, seed=1))
+    assert report.flags == ("NoConvergence",)
+    assert report.value > 0.0
 
 
 def test_scaling_identity_converges_immediately():

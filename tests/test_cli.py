@@ -165,6 +165,16 @@ def test_unknown_config_key(capsys, op_file, tmp_path):
     assert "no_such_option" in err
 
 
+def test_probe_rejects_jobs(capsys, op_file, tmp_path):
+    code, _, _ = _run(capsys, ["probe", op_file, "--seed", "1", "--jobs", "2"])
+    assert code == 2
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"jobs": 2}))
+    code, _, err = _run(capsys, ["probe", op_file, "--seed", "1", "--config", str(cfg)])
+    assert code == 2
+    assert "unknown config keys: jobs" in err
+
+
 def test_missing_file_is_domain_error(capsys):
     code, _, err = _run(capsys, ["cap", "does-not-exist.json"])
     assert code == 1
