@@ -25,7 +25,7 @@ import numpy as np
 from scipy.optimize import minimize
 
 from .coeffs import d_leibniz
-from .cpop import CPOperator, apply, conjugate_unitary, dual_apply
+from .cpop import CPOperator, apply, dual_apply
 from .errors import (
     CapaxError,
     NotSupported,
@@ -33,7 +33,7 @@ from .errors import (
     SingularMarginal,
     SingularMatrix,
 )
-from .expsum import ExpSumProblem, HullTag, psi_minimize
+from .expsum import ExpSumProblem, HullTag, PsiResult, psi_minimize
 from .linalg import eigh, expm_hermitian, hermitian_part, psd_inv_sqrt
 
 __all__ = [
@@ -85,8 +85,9 @@ class CapacityReport:
     cross_checks: dict = field(default_factory=dict)
 
 
-def diag_problem(t: CPOperator) -> ExpSumProblem:
-    """Exponential-sum form of the diagonal restriction.
+def diag_problem(t: CPOperator | np.ndarray) -> ExpSumProblem:
+    """Exponential-sum form of the diagonal restriction of T (a CPOperator
+    or a raw (K, m, n) Kraus stack).
 
     det(T(diag(lam))) is a polynomial with coefficient vector d over the
     degree-m multi-indices j; substituting lam_i = exp(y_i) and dividing by
@@ -119,36 +120,52 @@ def _matrix_json(a: np.ndarray) -> list:
     return [[[float(v.real), float(v.imag)] for v in row] for row in np.asarray(a, dtype=complex)]
 
 
+class _Degenerate(Exception):
+    """Internal signal: det(T(X)) or Psi collapses to zero, so cap(T) = 0."""
+
+
+def _diag_psi(t: CPOperator | np.ndarray, tol: float, max_iter: int = 200) -> PsiResult:
+    """Psi of the diagonal restriction; raises _Degenerate when it vanishes."""
+    prob = diag_problem(t)
+    if float(prob.d.max(initial=0.0)) <= 1e-300:
+        raise _Degenerate
+    res = psi_minimize(prob, tol=tol, max_iter=max_iter)
+    if res.value <= 1e-300:
+        raise _Degenerate
+    return res
+
+
+def _psi_report(
+    res: PsiResult, m: int, iterations: int, u: np.ndarray | None = None
+) -> CapacityReport:
+    """cap0(T_U) reported from Psi of the diagonal restriction of T_U; the
+    witness, present when the infimum is attained, is U diag(exp y) U*."""
+    flags = [] if res.converged else ["MaxIterations"]
+    witness = None
+    if res.classification.tag is HullTag.INTERIOR_ZERO:
+        y = res.minimizer
+        witness = {"x": np.diag(np.exp(y)).astype(complex), "diag_log": y.copy()}
+        if u is not None:
+            witness.update(x=hermitian_part(u @ witness["x"] @ u.conj().T), unitary=u)
+    else:
+        flags.insert(0, "InfimumNotAttained")
+    value = res.value ** (1.0 / m)
+    return CapacityReport(
+        float(value), Method.PSI_UNITARY, res.grad_residual, iterations, witness, tuple(flags)
+    )
+
+
 def cap0(t: CPOperator, tol: float = 1e-10) -> CapacityReport:
     """Diagonally restricted capacity: inf over positive diagonal X.
 
     Solved exactly through the exponential-sum form; the witness (present
     when the infimum is attained) is the optimal diagonal matrix.
     """
-    prob = diag_problem(t)
-    if float(prob.d.max(initial=0.0)) <= 1e-300:
+    try:
+        res = _diag_psi(t, tol)
+    except _Degenerate:
         return CapacityReport(0.0, Method.PSI_UNITARY, 0.0, 0, None, ("Degenerate",))
-    res = psi_minimize(prob, tol=tol)
-    value = res.value ** (1.0 / t.m)
-    flags: list[str] = []
-    witness = None
-    if res.classification.tag is HullTag.EXTERIOR_ZERO:
-        flags.append("Degenerate")
-        value = 0.0
-    elif res.classification.tag is HullTag.BOUNDARY_ZERO:
-        flags.append("InfimumNotAttained")
-    else:
-        y = res.minimizer
-        witness = {"x": np.diag(np.exp(y)).astype(complex), "diag_log": y.copy()}
-    if not res.converged:
-        flags.append("MaxIterations")
-    return CapacityReport(
-        float(value), Method.PSI_UNITARY, res.grad_residual, res.iterations, witness, tuple(flags)
-    )
-
-
-class _Degenerate(Exception):
-    """Internal signal: the descent found det(T(X)) collapsing to zero."""
+    return _psi_report(res, t.m, res.iterations)
 
 
 def _herm_basis(n: int) -> np.ndarray:
@@ -284,12 +301,44 @@ def cap_direct_pd(
     )
 
 
-def _unitary_expand(v: np.ndarray, n: int) -> np.ndarray:
-    """Unitary exp(i H) from n*n real coordinates for the Hermitian H."""
-    h = np.tensordot(v[: n * n - 1], _herm_basis(n), axes=1)
-    h = h + (v[n * n - 1] / math.sqrt(n)) * np.eye(n)
+class _NotInterior(Exception):
+    """Internal signal: the diagonal infimum of T_U is not attained, so the
+    envelope gradient does not exist at U."""
+
+
+def _unitary_expand(h: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """U = exp(iH) for Hermitian H, with the eigenpairs (w, V) of H."""
     w, vec = eigh(h)
-    return (vec * np.exp(1j * w)) @ vec.conj().T
+    return (vec * np.exp(1j * w)) @ vec.conj().T, w, vec
+
+
+def _unitary_oracle(
+    a: np.ndarray, h: np.ndarray, search_tol: float
+) -> tuple[float, np.ndarray | None]:
+    """Value g = (1/m) log Psi(T_U) at U = exp(iH) and its exact gradient.
+
+    a is the raw (K, m, n) Kraus stack of T. The gradient is the Hermitian
+    matrix Z with d/ds g(exp(i(H + sE))) = Re tr(Z E). By the envelope
+    theorem the inner minimizer y* stays fixed, so with D = diag(exp y*) and
+    G = T*(T(X)^-1) at X = U D U*, dg = (2/m) Re tr(D U* G dU), and dU is
+    V (L o V* i dH V) V* with L the divided differences of exp(i.) at the
+    eigenvalues of H = V diag(w) V*. Z is None when the infimum is not
+    attained, where g has no gradient.
+    """
+    m = a.shape[1]
+    u, w, vec = _unitary_expand(h)
+    b = a @ u
+    res = _diag_psi(b, search_tol, max_iter=80)
+    value = math.log(res.value) / m
+    if res.classification.tag is not HullTag.INTERIOR_ZERO:
+        return value, None
+    e = np.exp(res.minimizer)
+    bh = b.conj().transpose(0, 2, 1)
+    wt, vt = eigh(((b * e) @ bh).sum(axis=0))
+    gu = (bh @ ((vt / wt) @ vt.conj().T) @ b).sum(axis=0)  # U* G U
+    gamma = 1j * _exp_divided_differences(1j * w)  # divided differences of exp(i.)
+    inner = (vec.conj().T @ (e[:, None] * gu) @ u.conj().T @ vec) * gamma.T
+    return value, (2.0 / m) * (vec @ inner @ vec.conj().T)
 
 
 def cap_unitary_search(
@@ -302,84 +351,56 @@ def cap_unitary_search(
 ) -> CapacityReport:
     """cap(T) as inf over unitaries U of the diagonal capacity of T_U.
 
-    Nelder-Mead over the unitary group (identity start plus random
-    restarts), with a cheap exponential-sum solve per candidate and one
-    tight solve at the winner.
+    BFGS over U = exp(iH), H traceless Hermitian (the global phase of U does
+    not change cap0), on g(U) = (1/m) log Psi(T_U) with the exact envelope
+    gradient of _unitary_oracle; identity start plus seeded random
+    restarts, a cheap exponential-sum solve per evaluation and one tight
+    solve at the winner. A restart that reaches a U whose diagonal infimum
+    is not attained stops there (g has no gradient at such a U); when it
+    wins, the tight solve flags InfimumNotAttained. tol is the accuracy
+    asked of g, so the gradient test is |grad g| <= sqrt(tol); NoConvergence
+    marks a winning restart that stopped short of it. The report's
+    iterations count objective evaluations.
     """
     n, m = t.n, t.m
-    dim = n * n
+    a = t._kraus_stack
+    dim = n * n - 1
+    basis = _herm_basis(n)
+    flat_basis = basis.reshape(dim, n * n).conj()
+    # Near a minimum the value error is about |grad|^2, so tol on the value
+    # asks for sqrt(tol) on the gradient; below 1e-7 the line search can no
+    # longer resolve the decrease in double precision.
+    options = {"gtol": math.sqrt(max(tol, 1e-14)), "maxiter": 200}
+    stop = {"evals": 0}
 
-    def value_at(v: np.ndarray) -> float:
-        u = _unitary_expand(v, n)
-        prob = diag_problem(conjugate_unitary(t, u))
-        if float(prob.d.max(initial=0.0)) <= 1e-300:
-            return -np.inf
-        res = psi_minimize(prob, tol=search_tol, max_iter=80)
-        if res.value <= 1e-300:
-            return -np.inf
-        return math.log(res.value) / m
+    def objective(v: np.ndarray) -> tuple[float, np.ndarray]:
+        stop["evals"] += 1
+        val, grad = _unitary_oracle(a, np.tensordot(v, basis, axes=1), search_tol)
+        if grad is None:
+            stop.update(f=val, v=v.copy())
+            raise _NotInterior
+        return val, (flat_basis @ grad.reshape(n * n)).real
 
     rng = np.random.default_rng(seed)
-    starts = [np.zeros(dim)] + [
-        0.8 * rng.standard_normal(dim) for _ in range(max(restarts - 1, 0))
-    ]
-    best_v, best_f = np.zeros(dim), value_at(np.zeros(dim))
-    iterations = 0
-    degenerate = not np.isfinite(best_f)
-    if not degenerate:
-        for v0 in starts:
-            res = minimize(
-                value_at,
-                v0,
-                method="Nelder-Mead",
-                options={"maxiter": 200 * dim, "fatol": 1e-10, "xatol": 1e-7},
-            )
-            iterations += int(res.nit)
-            if res.fun < best_f:
-                best_f = float(res.fun)
-                best_v = res.x
-            if not np.isfinite(best_f):
-                degenerate = True
-                break
-        if not degenerate:
-            res = minimize(
-                value_at,
-                best_v,
-                method="Nelder-Mead",
-                options={"maxiter": 200 * dim, "fatol": 1e-11, "xatol": 1e-8},
-            )
-            iterations += int(res.nit)
-            if res.fun < best_f:
-                best_f = float(res.fun)
-                best_v = res.x
-            degenerate = not np.isfinite(best_f)
-
-    if degenerate:
+    starts = [np.zeros(dim)] + [0.8 * rng.standard_normal(dim) for _ in range(restarts - 1)]
+    best_f, best_v, best_ok = math.inf, np.zeros(dim), True
+    try:
+        for v0 in starts if dim else ():  # n = 1: nothing to search
+            try:
+                res = minimize(objective, v0, jac=True, method="BFGS", options=options)
+                f, v, ok = float(res.fun), res.x, bool(res.success)
+            except _NotInterior:
+                f, v, ok = stop["f"], stop["v"], True
+            if f < best_f:
+                best_f, best_v, best_ok = f, v, ok
+        u_best = _unitary_expand(np.tensordot(best_v, basis, axes=1))[0]
+        final = _diag_psi(a @ u_best, psi_tol)
+    except _Degenerate:
         return CapacityReport(
-            0.0, Method.PSI_UNITARY, 0.0, iterations, None, ("Degenerate",)
+            0.0, Method.PSI_UNITARY, 0.0, stop["evals"], None, ("Degenerate",)
         )
-
-    u_best = _unitary_expand(best_v, n)
-    final = psi_minimize(diag_problem(conjugate_unitary(t, u_best)), tol=psi_tol)
-    value = final.value ** (1.0 / m)
-    flags: list[str] = []
-    witness = None
-    if final.classification.tag is HullTag.INTERIOR_ZERO:
-        y = final.minimizer
-        x = u_best @ np.diag(np.exp(y)).astype(complex) @ u_best.conj().T
-        witness = {"x": hermitian_part(x), "unitary": u_best, "diag_log": y.copy()}
-    else:
-        flags.append("InfimumNotAttained")
-    if not final.converged:
-        flags.append("MaxIterations")
-    return CapacityReport(
-        float(value),
-        Method.PSI_UNITARY,
-        final.grad_residual,
-        iterations,
-        witness,
-        tuple(flags),
-    )
+    report = _psi_report(final, m, stop["evals"], u_best)
+    return report if best_ok else replace(report, flags=report.flags + ("NoConvergence",))
 
 
 @dataclass(frozen=True)

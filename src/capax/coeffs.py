@@ -168,12 +168,14 @@ def _leibniz_plan(n: int, m: int) -> _LeibnizPlan:
 
 
 def _diag_images(t) -> tuple[np.ndarray, int, int]:
-    """Stack of the n matrices T(E_ll), for a CPOperator or a flat matrix rep."""
+    """Stack of the n matrices T(E_ll), for a CPOperator, a (K, m, n) Kraus
+    stack or a flat matrix rep."""
     if isinstance(t, cpop.CPOperator):
-        a = t._kraus_stack
-        images = np.einsum("kil,kjl->lij", a, a.conj(), optimize=True)
-        return images, t.n, t.m
+        t = t._kraus_stack
     rep = np.asarray(t, dtype=complex)
+    if rep.ndim == 3:
+        images = np.einsum("kil,kjl->lij", rep, rep.conj(), optimize=True)
+        return images, rep.shape[2], rep.shape[1]
     if rep.ndim != 2:
         raise DimensionMismatch(f"matrix representation must be 2-d, got shape {rep.shape}")
     m = math.isqrt(rep.shape[0])

@@ -45,10 +45,7 @@ class CPOperator:
     kraus: tuple[np.ndarray, ...]
 
     def __post_init__(self):
-        if isinstance(self.kraus, np.ndarray) and self.kraus.ndim == 3:
-            mats = tuple(self.kraus)
-        else:
-            mats = tuple(self.kraus)
+        mats = tuple(self.kraus)
         if len(mats) == 0:
             raise DimensionMismatch("a CP operator needs at least one Kraus matrix")
         clean = []

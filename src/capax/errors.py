@@ -66,9 +66,5 @@ class SingularEvaluation(CapaxError, ValueError):
     """A determinant that must be positive evaluated to zero or below."""
 
 
-class DegenerateBase(CapaxError, ValueError):
-    """A probe base point has zero capacity and produces no signal."""
-
-
 class ConfigError(CapaxError, ValueError):
     """Invalid configuration file or unknown configuration key."""

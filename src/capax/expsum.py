@@ -20,6 +20,7 @@ import json
 import math
 import warnings
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 from scipy.optimize import linprog
@@ -155,9 +156,6 @@ def _default_support_eps(d: np.ndarray) -> float:
     return _DEFAULT_SUPPORT_REL * top
 
 
-_HULL_CACHE: dict = {}
-
-
 def _feasible_alpha_lp(u_sup: np.ndarray, eta: float, objective: np.ndarray):
     """Maximize objective @ [alpha, s] over alpha >= s >= 0, sum(alpha) = 1,
     |sum_j alpha_j u_j|_inf <= eta. Returns the linprog result."""
@@ -227,6 +225,12 @@ def _analyze_hull(u_sup: np.ndarray) -> tuple[HullTag, tuple[int, ...] | None]:
     return HullTag.BOUNDARY_ZERO, face
 
 
+@lru_cache(maxsize=4096)
+def _cached_hull(data: bytes, shape: tuple[int, int]) -> tuple[HullTag, tuple[int, ...] | None]:
+    """_analyze_hull keyed by the support geometry; cache_info() counts hits."""
+    return _analyze_hull(np.frombuffer(data).reshape(shape))
+
+
 def classify_hull(problem: ExpSumProblem, support_eps: float | None = None) -> HullClassification:
     """Classify the origin against the hull of exponents with weight above support_eps.
 
@@ -239,12 +243,7 @@ def classify_hull(problem: ExpSumProblem, support_eps: float | None = None) -> H
     if support.size == 0:
         raise EmptySupport(f"no weight exceeds the support threshold {support_eps:.3e}")
     u_sup = np.ascontiguousarray(problem.u[support])
-    key = (u_sup.tobytes(), u_sup.shape)
-    hit = _HULL_CACHE.get(key)
-    if hit is None:
-        hit = _analyze_hull(u_sup)
-        _HULL_CACHE[key] = hit
-    tag, face_rel = hit
+    tag, face_rel = _cached_hull(u_sup.tobytes(), u_sup.shape)
     if tag is HullTag.BOUNDARY_ZERO:
         face_abs = tuple(int(support[i]) for i in face_rel)
         return HullClassification(tag, face_abs)
@@ -455,10 +454,7 @@ def entropy_dual(problem: ExpSumProblem, theta, tol: float = 1e-8) -> tuple[np.n
     if theta.shape != (problem.dim,):
         raise DimensionMismatch(f"theta must have shape ({problem.dim},), got {theta.shape}")
     shifted = ExpSumProblem(problem.u - theta[None, :], problem.d)
-    try:
-        cls = classify_hull(shifted)
-    except EmptySupport:
-        raise
+    cls = classify_hull(shifted)
     if cls.tag is HullTag.EXTERIOR_ZERO:
         raise InfeasibleMoment("theta lies outside the hull of the supported exponents")
     if cls.tag is HullTag.BOUNDARY_ZERO:

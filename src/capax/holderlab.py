@@ -11,7 +11,6 @@ All exponents reported here are empirical fits, not certified bounds.
 """
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -188,38 +187,27 @@ def run_probe(
     return ProbeRun(base, direction, samples, alpha, logc, r2, tuple(flags))
 
 
-def _pair_measurement(family: CompactFamily, seed, config: CapacityConfig) -> tuple[float, float]:
-    rng = np.random.default_rng(seed)
-    base = family.sample(rng)
-    direction = random_direction(base, rng)
-    scale = 10.0 ** rng.uniform(-6.0, -1.0)
-    return probe_pair(base, perturb(base, direction, scale), config)
-
-
 def estimate_family_modulus(
     family: CompactFamily,
     pairs: int = 20,
     config: CapacityConfig | None = None,
-    jobs: int = 1,
     noise_floor: float = _DEFAULT_NOISE_FLOOR,
     seed=None,
 ) -> FamilySummary:
     """Pool random nearby pairs from the family and fit one power law.
 
     min_alpha is the pooled log-log slope, max_ratio the worst observed
-    dcap / dist^min_alpha. Deterministic for a fixed seed regardless of
-    the number of worker threads.
+    dcap / dist^min_alpha. Deterministic for a fixed seed.
     """
     cfg = config or CapacityConfig(tol=1e-10)
     root = np.random.SeedSequence(family.seed if seed is None else seed)
-    children = root.spawn(pairs)
-    if jobs > 1:
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            results = list(
-                pool.map(lambda s: _pair_measurement(family, s, cfg), children)
-            )
-    else:
-        results = [_pair_measurement(family, s, cfg) for s in children]
+    results = []
+    for child in root.spawn(pairs):
+        rng = np.random.default_rng(child)
+        base = family.sample(rng)
+        direction = random_direction(base, rng)
+        scale = 10.0 ** rng.uniform(-6.0, -1.0)
+        results.append(probe_pair(base, perturb(base, direction, scale), cfg))
     samples = np.array(results) if results else np.zeros((0, 2))
 
     flags: list[str] = []

@@ -26,7 +26,14 @@ from capax import (
     trace_channel,
 )
 import capax.capacity
-from capax.capacity import ScalingState, _herm_basis, _logdet_oracle, _marginal_residuals
+from capax.capacity import (
+    ScalingState,
+    _herm_basis,
+    _logdet_oracle,
+    _marginal_residuals,
+    _unitary_oracle,
+)
+from capax.cpop import conjugate_unitary
 from conftest import make_op
 
 
@@ -182,6 +189,83 @@ def test_unitary_search_bounded_by_cap0():
     for seed in (10, 11):
         t = make_op(2, 2, 2, seed=seed)
         assert cap_unitary_search(t, restarts=2).value <= cap0(t).value + 1e-8
+
+
+@pytest.mark.parametrize("n,m,k", [(2, 2, 2), (2, 2, 3), (3, 3, 2), (3, 3, 3), (2, 3, 2)])
+def test_unitary_oracle_gradient_matches_central_differences(n, m, k):
+    t = make_op(n, m, k, seed=200 * n + 10 * m + k)
+    basis = _herm_basis(n)
+    rng = np.random.default_rng(n * m * k + 1)
+    step = 1e-5
+    a = t._kraus_stack
+    # a tight inner solve, so the differences resolve the envelope gradient
+    oracle = lambda h: _unitary_oracle(a, h, 1e-13)  # noqa: E731
+    points = [np.zeros(n * n - 1)] + [0.8 * rng.standard_normal(n * n - 1) for _ in range(3)]
+    for v in points:
+        h = np.tensordot(v, basis, axes=1)
+        value, grad = oracle(h)
+        exact = np.array([np.vdot(b, grad).real for b in basis])
+        central = np.array(
+            [(oracle(h + step * b)[0] - oracle(h - step * b)[0]) / (2 * step) for b in basis]
+        )
+        assert np.linalg.norm(exact - central) <= 1e-6 * np.linalg.norm(exact)
+        w, vec = np.linalg.eigh(h)
+        u = (vec * np.exp(1j * w)) @ vec.conj().T
+        assert abs(value - np.log(cap0(conjugate_unitary(t, u)).value)) <= 1e-9
+
+
+def test_unitary_search_matches_direct_non_square():
+    t = make_op(2, 3, 2, seed=9)
+    direct = cap_direct_pd(t).value
+    searched = cap_unitary_search(t, restarts=4, seed=0)
+    assert abs(searched.value - direct) <= 1e-6 * direct
+    assert searched.flags == ()
+    assert abs(capacity_ratio(t, searched.witness["x"]) - searched.value) <= 1e-8 * direct
+
+
+def test_unitary_search_boundary_base():
+    """T(X) = sum E_ij X E_ji over the support of [[1, 1], [0, 1]]: cap = 1,
+    approached but not attained. The identity start is a point where the
+    diagonal infimum is not attained, so g has no gradient there."""
+    units = []
+    for i, j in ((0, 0), (0, 1), (1, 1)):
+        e = np.zeros((2, 2), dtype=complex)
+        e[i, j] = 1.0
+        units.append(e)
+    report = cap_unitary_search(CPOperator(tuple(units)))
+    assert abs(report.value - 1.0) <= 1e-9
+    assert "InfimumNotAttained" in report.flags
+    assert report.witness is None
+
+
+def test_unitary_search_rank_deficient_is_degenerate():
+    report = cap_unitary_search(CPOperator((np.diag([1.0, 0.0]).astype(complex),)))
+    assert report.value == 0.0
+    assert report.flags == ("Degenerate",)
+
+
+def test_unitary_search_tol_sets_the_gradient_test():
+    t = make_op(3, 3, 2, seed=15)
+    loose = cap_unitary_search(t, tol=1e-4, restarts=1)
+    tight = cap_unitary_search(t, tol=1e-14, restarts=1)
+    assert loose.iterations < tight.iterations
+    assert abs(loose.value - tight.value) <= 1e-3 * tight.value
+
+
+def test_unitary_search_flags_no_convergence(monkeypatch):
+    t = make_op(2, 2, 2, seed=1)
+    assert cap_unitary_search(t, restarts=2).flags == ()
+    real_minimize = capax.capacity.minimize
+
+    def stalled(*args, **kwargs):
+        res = real_minimize(*args, **kwargs)
+        res.success = False
+        return res
+
+    monkeypatch.setattr(capax.capacity, "minimize", stalled)
+    report = cap_unitary_search(t, restarts=2)
+    assert report.flags == ("NoConvergence",)
+    assert report.value > 0.0
 
 
 def test_cap_facade_homogeneity():

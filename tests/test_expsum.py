@@ -26,6 +26,7 @@ from capax import (
     semicontinuity_bound,
     trace_channel,
 )
+from capax.expsum import _cached_hull
 
 # the trace channel on 2x2 inputs: weights (1, 2, 1) on exponents
 # (-1, 1), (0, 0), (1, -1); the infimum 4 sits at the origin
@@ -92,6 +93,17 @@ def test_classification_ignores_zero_weights():
     assert with_weight.active_face == (0, 1)
     without = classify_hull(ExpSumProblem(u, np.array([1.0, 1.0, 0.0])))
     assert without.tag is HullTag.INTERIOR_ZERO
+
+
+def test_hull_cache_is_bounded_and_counts_hits():
+    info = _cached_hull.cache_info()
+    assert info.maxsize is not None
+    first = classify_hull(BOUNDARY)
+    again = classify_hull(ExpSumProblem(BOUNDARY.u, 7.0 * BOUNDARY.d))
+    assert again == first
+    # the second call shares the support geometry, so it is a hit
+    assert _cached_hull.cache_info().hits >= info.hits + 1
+    assert _cached_hull.cache_info().currsize <= info.maxsize
 
 
 def test_empty_support_raises():
