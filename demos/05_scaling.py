@@ -6,18 +6,18 @@
 import numpy as np
 
 from capax import ScalingState, cap_via_scaling, capacity_ratio, random_cp, scaling_step
-from capax.capacity import _marginal_residuals
+from capax.capacity import _marginals
 
 t = random_cp(3, 3, 3, scale=0.45, rng=np.random.default_rng(23))
 
 # Watch the residuals step by step.
-row, col = _marginal_residuals(t)
+_, _, (row, col) = _marginals(t._kraus_stack)
 state = ScalingState(t, 0.0, 0, row, col, np.eye(t.n, dtype=complex))
 print(f"step  0: row={row:.3e} col={col:.3e}")
 for k in range(1, 13):
     side = "row" if k % 2 == 1 else "col"
     state = scaling_step(state, side)
-    row, col = _marginal_residuals(state.op)
+    row, col = state.row_residual, state.col_residual
     print(f"step {k:2d}: row={row:.3e} col={col:.3e}  (scaled {side})")
 
 # The driver runs the same loop to convergence and assembles the witness.

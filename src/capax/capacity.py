@@ -11,6 +11,11 @@ definite X. Three routes are implemented:
 * ``cap_via_scaling``: alternate row and column marginal normalization
   (square case only), accumulating determinant corrections.
 
+Both descent routes evaluate log det T(X) and its gradient
+G = T*(T(X)^-1) through one kernel, ``_logdet_kernel``, on the raw Kraus
+stack, and share one BFGS restart loop, ``_bfgs_restarts``; the scaling
+route also iterates on the raw stack, carrying both marginals forward.
+
 All routes return a CapacityReport carrying the value, a witness when one
 exists, solver residuals, and flags for degenerate or non-converged runs.
 """
@@ -25,7 +30,7 @@ import numpy as np
 from scipy.optimize import minimize
 
 from .coeffs import d_leibniz
-from .cpop import CPOperator, apply, dual_apply
+from .cpop import CPOperator, apply
 from .errors import (
     CapaxError,
     NotSupported,
@@ -34,7 +39,7 @@ from .errors import (
     SingularMatrix,
 )
 from .expsum import ExpSumProblem, HullTag, PsiResult, psi_minimize
-from .linalg import eigh, expm_hermitian, hermitian_part, psd_inv_sqrt
+from .linalg import eigh, expm_hermitian, hermitian_part
 
 __all__ = [
     "Method",
@@ -204,8 +209,19 @@ def _exp_divided_differences(w: np.ndarray) -> np.ndarray:
     return np.exp(0.5 * (w[:, None] + w[None, :])) * ratio
 
 
-def _logdet_oracle(t: CPOperator, h: np.ndarray) -> tuple[float, np.ndarray]:
-    """Value f(H) = (1/m) log det T(exp H) and its exact gradient.
+def _logdet_kernel(a: np.ndarray, x: np.ndarray) -> tuple[float, np.ndarray]:
+    """log det T(X) and G = T*(T(X)^-1) for the raw (K, m, n) Kraus stack a.
+    Raises _Degenerate when T(X) is singular."""
+    ah = a.conj().transpose(0, 2, 1)
+    wt, vt = eigh((a @ x @ ah).sum(axis=0))
+    if wt.min(initial=1.0) <= 0:
+        raise _Degenerate
+    g = (ah @ ((vt / wt) @ vt.conj().T) @ a).sum(axis=0)
+    return float(np.sum(np.log(wt))), hermitian_part(g)
+
+
+def _logdet_oracle(a: np.ndarray, h: np.ndarray) -> tuple[float, np.ndarray]:
+    """Value f(H) = (1/m) log det T(exp H) and its exact gradient on the stack a.
 
     The gradient is the Hermitian matrix M with d/ds f(H + sE) = Re tr(M E)
     for every Hermitian E. With G = T*(T(X)^-1) at X = exp(H) and
@@ -214,16 +230,56 @@ def _logdet_oracle(t: CPOperator, h: np.ndarray) -> tuple[float, np.ndarray]:
     exp at w and o is the entrywise product. Raises _Degenerate when T(X)
     is singular.
     """
+    m = a.shape[1]
     # expm_hermitian inlined: the same eigh supplies the divided differences.
     w, u = eigh(h)
-    x = hermitian_part((u * np.exp(w)) @ u.conj().T)
-    wt, vt = eigh(apply(t, x))
-    if wt.min(initial=1.0) <= 0:
-        raise _Degenerate
-    value = float(np.sum(np.log(wt)) / t.m)
-    g = dual_apply(t, (vt / wt) @ vt.conj().T)
+    logdet, g = _logdet_kernel(a, hermitian_part((u * np.exp(w)) @ u.conj().T))
     inner = _exp_divided_differences(w) * (u.conj().T @ g @ u)
-    return value, (u @ inner @ u.conj().T) / t.m
+    return logdet / m, (u @ inner @ u.conj().T) / m
+
+
+class _NotInterior(Exception):
+    """Internal signal: no gradient here; args are the value and coordinates."""
+
+
+def _bfgs_restarts(oracle, n: int, starts: list, options: dict) -> tuple[tuple | None, int, int]:
+    """BFGS from each start over traceless Hermitian H = sum_i v_i B_i, with
+    B = _herm_basis(n); the lowest final value wins.
+
+    oracle(H) returns the value and the Hermitian gradient M, with
+    d/ds f(H + sE) = Re tr(M E), or None for M where there is no gradient: a
+    restart that reaches such a point stops there, counted as converged.
+    Returns ((value, H, gradient norm, converged) of the winner, or None
+    when the oracle raised _Degenerate; BFGS iterations; oracle calls).
+    """
+    dim = n * n - 1
+    basis = _herm_basis(n)
+    flat_basis = basis.reshape(dim, n * n).conj()
+    evals = nit = 0
+
+    def objective(v: np.ndarray) -> tuple[float, np.ndarray]:
+        nonlocal evals
+        evals += 1
+        val, grad = oracle(np.tensordot(v, basis, axes=1))
+        if grad is None:
+            raise _NotInterior(val, v.copy())
+        return val, (flat_basis @ grad.reshape(n * n)).real
+
+    best = (math.inf, np.zeros(dim), math.inf, True)
+    try:
+        for v0 in starts if dim else ():  # n = 1: nothing to search
+            try:
+                res = minimize(objective, v0, jac=True, method="BFGS", options=options)
+                nit += int(res.nit)
+                found = (float(res.fun), res.x, float(np.linalg.norm(res.jac)), bool(res.success))
+            except _NotInterior as stop:
+                found = (*stop.args, math.inf, True)
+            if found[0] < best[0]:
+                best = found
+    except _Degenerate:
+        return None, nit, evals
+    f, v, grad_norm, ok = best
+    return (f, np.tensordot(v, basis, axes=1), grad_norm, ok), nit, evals
 
 
 def cap_direct_pd(
@@ -243,67 +299,31 @@ def cap_direct_pd(
     optimizer's stopping test.
     """
     n, m = t.n, t.m
-    w0, _ = eigh(apply(t, np.eye(n, dtype=complex)))
-    if w0.min(initial=1.0) <= 0:
-        return CapacityReport(0.0, Method.DIRECT_PD, 0.0, 0, None, ("Degenerate",))
-    f_ref = float(np.sum(np.log(w0)) / m)
-    floor = f_ref - degenerate_drop
-
-    dim = n * n - 1
-    if dim == 0:
-        return CapacityReport(
-            float(np.exp(f_ref)),
-            Method.DIRECT_PD,
-            0.0,
-            0,
-            {"x": np.eye(1, dtype=complex)},
-            (),
-        )
-
-    basis = _herm_basis(n)
-    flat_basis = basis.reshape(dim, n * n).conj()
-
-    def objective(v: np.ndarray) -> tuple[float, np.ndarray]:
-        val, grad = _logdet_oracle(t, np.tensordot(v, basis, axes=1))
-        if val < floor:
-            raise _Degenerate
-        return val, (flat_basis @ grad.reshape(n * n)).real
-
-    rng = np.random.default_rng(seed)
-    starts = [np.zeros(dim)] + [
-        0.3 * rng.standard_normal(dim) for _ in range(max(restarts - 1, 0))
-    ]
-    best = None
-    iterations = 0
+    a = t._kraus_stack
     try:
-        for v0 in starts:
-            res = minimize(
-                objective,
-                v0,
-                jac=True,
-                method="BFGS",
-                options={"gtol": max(tol, 1e-8), "maxiter": 300},
-            )
-            iterations += int(res.nit)
-            if best is None or res.fun < best.fun:
-                best = res
+        f_ref = _logdet_kernel(a, np.eye(n, dtype=complex))[0] / m
     except _Degenerate:
-        return CapacityReport(0.0, Method.DIRECT_PD, 0.0, iterations, None, ("Degenerate",))
+        return CapacityReport(0.0, Method.DIRECT_PD, 0.0, 0, None, ("Degenerate",))
+    if n == 1:
+        x = np.eye(1, dtype=complex)
+        return CapacityReport(float(np.exp(f_ref)), Method.DIRECT_PD, 0.0, 0, {"x": x}, ())
 
-    x_best = expm_hermitian(np.tensordot(best.x, basis, axes=1))
+    def oracle(h: np.ndarray) -> tuple[float, np.ndarray]:
+        val, grad = _logdet_oracle(a, h)
+        if val < f_ref - degenerate_drop:
+            raise _Degenerate
+        return val, grad
+
+    dim, rng = n * n - 1, np.random.default_rng(seed)
+    starts = [np.zeros(dim)] + [0.3 * rng.standard_normal(dim) for _ in range(restarts - 1)]
+    best, nit, _ = _bfgs_restarts(oracle, n, starts, {"gtol": max(tol, 1e-8), "maxiter": 300})
+    if best is None:
+        return CapacityReport(0.0, Method.DIRECT_PD, 0.0, nit, None, ("Degenerate",))
+    f, h, grad_norm, ok = best
+    flags = () if ok else ("NoConvergence",)
     return CapacityReport(
-        float(np.exp(best.fun)),
-        Method.DIRECT_PD,
-        float(np.linalg.norm(best.jac)),
-        iterations,
-        {"x": x_best},
-        () if best.success else ("NoConvergence",),
+        float(np.exp(f)), Method.DIRECT_PD, grad_norm, nit, {"x": expm_hermitian(h)}, flags
     )
-
-
-class _NotInterior(Exception):
-    """Internal signal: the diagonal infimum of T_U is not attained, so the
-    envelope gradient does not exist at U."""
 
 
 def _unitary_expand(h: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -322,8 +342,9 @@ def _unitary_oracle(
     theorem the inner minimizer y* stays fixed, so with D = diag(exp y*) and
     G = T*(T(X)^-1) at X = U D U*, dg = (2/m) Re tr(D U* G dU), and dU is
     V (L o V* i dH V) V* with L the divided differences of exp(i.) at the
-    eigenvalues of H = V diag(w) V*. Z is None when the infimum is not
-    attained, where g has no gradient.
+    eigenvalues of H = V diag(w) V*. U* G U is the kernel's G for the stack
+    A U at D. Z is None when the infimum is not attained, where g has no
+    gradient.
     """
     m = a.shape[1]
     u, w, vec = _unitary_expand(h)
@@ -333,12 +354,13 @@ def _unitary_oracle(
     if res.classification.tag is not HullTag.INTERIOR_ZERO:
         return value, None
     e = np.exp(res.minimizer)
-    bh = b.conj().transpose(0, 2, 1)
-    wt, vt = eigh(((b * e) @ bh).sum(axis=0))
-    gu = (bh @ ((vt / wt) @ vt.conj().T) @ b).sum(axis=0)  # U* G U
+    gu = _logdet_kernel(b, np.diag(e))[1]  # U* G U
     gamma = 1j * _exp_divided_differences(1j * w)  # divided differences of exp(i.)
     inner = (vec.conj().T @ (e[:, None] * gu) @ u.conj().T @ vec) * gamma.T
     return value, (2.0 / m) * (vec @ inner @ vec.conj().T)
+
+
+_SEARCH_TOL = 1e-8  # Psi tolerance per search evaluation; the winner is re-solved at psi_tol
 
 
 def cap_unitary_search(
@@ -347,7 +369,6 @@ def cap_unitary_search(
     restarts: int = 8,
     seed: int = 0,
     psi_tol: float = 1e-10,
-    search_tol: float = 1e-8,
 ) -> CapacityReport:
     """cap(T) as inf over unitaries U of the diagonal capacity of T_U.
 
@@ -362,45 +383,28 @@ def cap_unitary_search(
     marks a winning restart that stopped short of it. The report's
     iterations count objective evaluations.
     """
-    n, m = t.n, t.m
     a = t._kraus_stack
-    dim = n * n - 1
-    basis = _herm_basis(n)
-    flat_basis = basis.reshape(dim, n * n).conj()
+    dim = t.n * t.n - 1
     # Near a minimum the value error is about |grad|^2, so tol on the value
     # asks for sqrt(tol) on the gradient; below 1e-7 the line search can no
     # longer resolve the decrease in double precision.
     options = {"gtol": math.sqrt(max(tol, 1e-14)), "maxiter": 200}
-    stop = {"evals": 0}
-
-    def objective(v: np.ndarray) -> tuple[float, np.ndarray]:
-        stop["evals"] += 1
-        val, grad = _unitary_oracle(a, np.tensordot(v, basis, axes=1), search_tol)
-        if grad is None:
-            stop.update(f=val, v=v.copy())
-            raise _NotInterior
-        return val, (flat_basis @ grad.reshape(n * n)).real
-
     rng = np.random.default_rng(seed)
     starts = [np.zeros(dim)] + [0.8 * rng.standard_normal(dim) for _ in range(restarts - 1)]
-    best_f, best_v, best_ok = math.inf, np.zeros(dim), True
+    best, _, evals = _bfgs_restarts(
+        lambda h: _unitary_oracle(a, h, _SEARCH_TOL), t.n, starts, options
+    )
+    degenerate = CapacityReport(0.0, Method.PSI_UNITARY, 0.0, evals, None, ("Degenerate",))
+    if best is None:
+        return degenerate
+    _, h, _, converged = best
+    u_best = _unitary_expand(h)[0]
     try:
-        for v0 in starts if dim else ():  # n = 1: nothing to search
-            try:
-                res = minimize(objective, v0, jac=True, method="BFGS", options=options)
-                f, v, ok = float(res.fun), res.x, bool(res.success)
-            except _NotInterior:
-                f, v, ok = stop["f"], stop["v"], True
-            if f < best_f:
-                best_f, best_v, best_ok = f, v, ok
-        u_best = _unitary_expand(np.tensordot(best_v, basis, axes=1))[0]
         final = _diag_psi(a @ u_best, psi_tol)
     except _Degenerate:
-        return CapacityReport(
-            0.0, Method.PSI_UNITARY, 0.0, stop["evals"], None, ("Degenerate",)
-        )
-    report = _psi_report(final, m, stop["evals"], u_best)
-    return report if best_ok else replace(report, flags=report.flags + ("NoConvergence",))
+        return degenerate
+    report = _psi_report(final, t.m, evals, u_best)
+    return report if converged else replace(report, flags=report.flags + ("NoConvergence",))
 
 
 @dataclass(frozen=True)
@@ -420,45 +424,42 @@ class ScalingState:
     col_transform: np.ndarray
 
 
-def _marginal_residuals(op: CPOperator) -> tuple[float, float]:
-    n, m = op.n, op.m
-    q = apply(op, np.eye(n, dtype=complex))
-    p = dual_apply(op, np.eye(m, dtype=complex))
-    r_row = float(np.linalg.norm(q - np.eye(m)) / math.sqrt(m))
-    r_col = float(np.linalg.norm(p - np.eye(n)) / math.sqrt(n))
-    return r_row, r_col
+def _marginals(a: np.ndarray) -> tuple[np.ndarray, np.ndarray, tuple[float, float]]:
+    """Row and column marginals T(I) and T*(I) of the raw (K, m, n) stack a,
+    and their residuals: Frobenius distances from I over sqrt(dimension)."""
+    ah = a.conj().transpose(0, 2, 1)
+    q, p = hermitian_part((a @ ah).sum(axis=0)), hermitian_part((ah @ a).sum(axis=0))
+    residuals = (float(np.linalg.norm(h - np.eye(len(h))) / math.sqrt(len(h))) for h in (q, p))
+    return q, p, tuple(residuals)
 
 
-def _log_det_pd(h: np.ndarray, context: str) -> float:
-    w, _ = eigh(h)
+def _scale(a: np.ndarray, q: np.ndarray, p: np.ndarray, side: str):
+    """Normalize one marginal of the raw stack a, whose marginals are q, p.
+
+    Side "row" maps A_k to S A_k with S = q^(-1/2), side "col" maps A_k to
+    A_k S with S = p^(-1/2). Returns the new stack, the log-determinant
+    correction and S, both from one eigh of the marginal. SingularMarginal
+    is raised when its smallest eigenvalue is at most 1e-12 of its largest;
+    the gate is relative, so it does not depend on the scale of the data.
+    """
+    if side not in ("row", "col"):
+        raise CapaxError(f"unknown scaling side {side!r}")
+    h, dim, context = (q, a.shape[1], "row") if side == "row" else (p, a.shape[2], "column")
+    w, v = eigh(h)
     if float(w.min()) <= 1e-12 * max(float(w.max()), 1e-300):
         raise SingularMarginal(f"{context} marginal is numerically singular")
-    return float(np.sum(np.log(w)))
+    s = hermitian_part((v * (w ** -0.5)) @ v.conj().T)
+    return (s @ a if side == "row" else a @ s), float(np.sum(np.log(w))) / dim, s
 
 
 def scaling_step(state: ScalingState, side: str) -> ScalingState:
     """Normalize one marginal (side "row" or "col") and track corrections."""
-    op = state.op
-    if side == "row":
-        q = apply(op, np.eye(op.n, dtype=complex))
-        log_det = _log_det_pd(q, "row")
-        s = psd_inv_sqrt(q)
-        kraus = tuple(s @ a for a in op.kraus)
-        new_op = CPOperator(kraus)
-        log_corr = state.log_correction + log_det / op.m
-        col_t = state.col_transform
-    elif side == "col":
-        p = dual_apply(op, np.eye(op.m, dtype=complex))
-        log_det = _log_det_pd(p, "column")
-        s = psd_inv_sqrt(p)
-        kraus = tuple(a @ s for a in op.kraus)
-        new_op = CPOperator(kraus)
-        log_corr = state.log_correction + log_det / op.n
-        col_t = state.col_transform @ s
-    else:
-        raise CapaxError(f"unknown scaling side {side!r}")
-    r_row, r_col = _marginal_residuals(new_op)
-    return ScalingState(new_op, log_corr, state.step + 1, r_row, r_col, col_t)
+    a = state.op._kraus_stack
+    a, gain, s = _scale(a, *_marginals(a)[:2], side)
+    col_t = state.col_transform @ s if side == "col" else state.col_transform
+    r_row, r_col = _marginals(a)[2]
+    log_corr = state.log_correction + gain
+    return ScalingState(CPOperator(tuple(a)), log_corr, state.step + 1, r_row, r_col, col_t)
 
 
 def cap_via_scaling(
@@ -468,29 +469,28 @@ def cap_via_scaling(
 
     The determinant corrections accumulated along the way recover the
     capacity of the original operator once both marginals are balanced;
-    the witness is exact for the reported value by construction.
+    the witness is exact for the reported value by construction. The loop
+    runs _scale on the raw Kraus stack and carries the marginals forward.
     """
     if t.n != t.m:
         raise NotSupported("marginal scaling needs square operators (n == m)")
-    r_row, r_col = _marginal_residuals(t)
-    state = ScalingState(t, 0.0, 0, r_row, r_col, np.eye(t.n, dtype=complex))
-    sides = ("row", "col")
-    steps = 0
-    while max(state.row_residual, state.col_residual) > residual_tol and steps < max_steps:
-        state = scaling_step(state, sides[steps % 2])
+    a = t._kraus_stack
+    q, p, residuals = _marginals(a)
+    log_corr, col_t, steps = 0.0, np.eye(t.n, dtype=complex), 0
+    while max(residuals) > residual_tol and steps < max_steps:
+        side = ("row", "col")[steps % 2]
+        a, gain, s = _scale(a, q, p, side)
+        q, p, residuals = _marginals(a)
+        log_corr += gain
+        col_t = col_t @ s if side == "col" else col_t
         steps += 1
-    flags: list[str] = []
-    if max(state.row_residual, state.col_residual) > residual_tol:
-        flags.append("NoConvergence")
-    w, _ = eigh(apply(state.op, np.eye(t.n, dtype=complex)))
+    flags = ("NoConvergence",) if max(residuals) > residual_tol else ()
+    w, _ = eigh(q)
     if w.min(initial=1.0) <= 0:
         raise SingularMarginal("final row marginal lost positivity")
-    value = float(np.exp(state.log_correction + np.sum(np.log(w)) / t.m))
-    x = hermitian_part(state.col_transform @ state.col_transform.conj().T)
-    residual = float(max(state.row_residual, state.col_residual))
-    return CapacityReport(
-        value, Method.SCALING, residual, steps, {"x": x}, tuple(flags)
-    )
+    value = float(np.exp(log_corr + np.sum(np.log(w)) / t.m))
+    x = hermitian_part(col_t @ col_t.conj().T)
+    return CapacityReport(value, Method.SCALING, max(residuals), steps, {"x": x}, flags)
 
 
 def cap(t: CPOperator, config: CapacityConfig | None = None) -> CapacityReport:

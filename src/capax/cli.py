@@ -37,7 +37,6 @@ __all__ = ["main"]
 
 _CONFIG_KEYS = {
     "tol",
-    "psi_tol",
     "seed",
     "restarts",
     "method",

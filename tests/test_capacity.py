@@ -10,6 +10,7 @@ from capax import (
     Method,
     NotSupported,
     SingularEvaluation,
+    SingularMarginal,
     SingularMatrix,
     cap,
     cap0,
@@ -17,8 +18,10 @@ from capax import (
     cap_unitary_search,
     cap_via_scaling,
     capacity_ratio,
+    eigh,
     expm_hermitian,
     haar_unitary,
+    hermitian_part,
     identity_channel,
     report_to_dict,
     report_to_json,
@@ -29,11 +32,12 @@ import capax.capacity
 from capax.capacity import (
     ScalingState,
     _herm_basis,
+    _logdet_kernel,
     _logdet_oracle,
-    _marginal_residuals,
+    _marginals,
     _unitary_oracle,
 )
-from capax.cpop import conjugate_unitary
+from capax.cpop import apply, conjugate_unitary, dual_apply
 from conftest import make_op
 
 
@@ -85,6 +89,7 @@ def test_direct_witness_reproduces_value():
 @pytest.mark.parametrize("n,m,k", [(2, 2, 2), (2, 3, 2), (3, 2, 2), (3, 3, 3), (3, 4, 2), (4, 3, 3)])
 def test_logdet_oracle_gradient_matches_central_differences(n, m, k):
     t = make_op(n, m, k, seed=100 * n + 10 * m + k)
+    a = t._kraus_stack
     basis = _herm_basis(n)
     rng = np.random.default_rng(n * m * k)
     step = 1e-6
@@ -93,12 +98,12 @@ def test_logdet_oracle_gradient_matches_central_differences(n, m, k):
     points = [np.zeros(n * n - 1)] + [0.5 * rng.standard_normal(n * n - 1) for _ in range(4)]
     for v in points:
         h = np.tensordot(v, basis, axes=1)
-        value, grad = _logdet_oracle(t, h)
+        value, grad = _logdet_oracle(a, h)
         assert_allclose(grad, grad.conj().T, atol=1e-14)
         exact = np.array([np.vdot(b, grad).real for b in basis])
         central = np.array(
             [
-                (_logdet_oracle(t, h + step * b)[0] - _logdet_oracle(t, h - step * b)[0])
+                (_logdet_oracle(a, h + step * b)[0] - _logdet_oracle(a, h - step * b)[0])
                 / (2 * step)
                 for b in basis
             ]
@@ -107,6 +112,17 @@ def test_logdet_oracle_gradient_matches_central_differences(n, m, k):
         # det exp(H) = 1 for traceless H, so the value is the log capacity ratio
         ratio = capacity_ratio(t, expm_hermitian(h))
         assert abs(value - np.log(ratio)) <= 1e-12 * max(abs(value), 1.0)
+
+
+@pytest.mark.parametrize("n,m,k", [(2, 2, 2), (2, 3, 2), (3, 2, 3)])
+def test_logdet_kernel_matches_apply_and_dual_apply(n, m, k):
+    t = make_op(n, m, k, seed=300 * n + 10 * m + k)
+    x = expm_hermitian(np.tensordot(np.linspace(-0.6, 0.7, n * n - 1), _herm_basis(n), axes=1))
+    logdet, g = _logdet_kernel(t._kraus_stack, x)
+    y = apply(t, x)
+    assert abs(logdet - np.log(np.linalg.det(y).real)) <= 1e-12 * max(abs(logdet), 1.0)
+    assert_allclose(g, dual_apply(t, np.linalg.inv(y)), rtol=0, atol=1e-12 * np.abs(g).max())
+    assert_allclose(g, g.conj().T, atol=0)
 
 
 def test_herm_basis_is_orthonormal_and_traceless():
@@ -170,11 +186,47 @@ def test_scaling_requires_square():
 
 def test_scaling_step_reduces_residual():
     t = make_op(2, 2, 2, seed=6)
-    r_row, r_col = _marginal_residuals(t)
+    _, _, (r_row, r_col) = _marginals(t._kraus_stack)
     state = ScalingState(t, 0.0, 0, r_row, r_col, np.eye(2, dtype=complex))
     stepped = scaling_step(state, "row")
     assert stepped.row_residual <= 1e-10  # the row marginal is now exactly balanced
     assert stepped.step == 1
+
+
+def test_scaling_steps_reproduce_the_loop():
+    """Public scaling_step calls from t retrace cap_via_scaling exactly."""
+    t = make_op(3, 3, 2, seed=19)
+    report = cap_via_scaling(t)
+    _, _, (r_row, r_col) = _marginals(t._kraus_stack)
+    state = ScalingState(t, 0.0, 0, r_row, r_col, np.eye(3, dtype=complex))
+    while max(state.row_residual, state.col_residual) > 1e-8 and state.step < 2000:
+        state = scaling_step(state, ("row", "col")[state.step % 2])
+    assert state.step == report.iterations > 0
+    assert max(state.row_residual, state.col_residual) == report.residual
+    w, _ = eigh(apply(state.op, np.eye(3)))
+    assert float(np.exp(state.log_correction + np.sum(np.log(w)) / 3)) == report.value
+    r = state.col_transform
+    assert np.array_equal(hermitian_part(r @ r.conj().T), report.witness["x"])
+
+
+@pytest.mark.parametrize("scale", [1e-8, 1e8])
+@pytest.mark.parametrize("n,k", [(2, 1), (2, 2), (3, 2)])
+def test_scaling_agrees_with_direct_at_extreme_scales(n, k, scale):
+    """The singular-marginal gate is relative, so Kraus entries of order
+    1e-8 (marginals of order 1e-16) or 1e8 scale like any others."""
+    base = make_op(n, n, k, seed=40 + 10 * n + k)
+    t = CPOperator(tuple(scale * a for a in base.kraus))
+    direct = cap_direct_pd(t)
+    scaled = cap_via_scaling(t)
+    assert direct.flags == () and scaled.flags == ()
+    assert abs(scaled.value - direct.value) <= 1e-3 * direct.value
+    report = cap(t, CapacityConfig(check_scaling=True))
+    assert report.cross_checks["scaling_delta"] <= 1e-3 * report.value
+
+
+def test_scaling_singular_marginal_raises():
+    with pytest.raises(SingularMarginal):
+        cap_via_scaling(CPOperator((np.diag([1.0, 0.0]).astype(complex),)))
 
 
 def test_unitary_search_matches_direct():

@@ -165,6 +165,15 @@ def test_unknown_config_key(capsys, op_file, tmp_path):
     assert "no_such_option" in err
 
 
+def test_cap_rejects_psi_tol_config(capsys, op_file, tmp_path):
+    """psi_tol set no tolerance of the cap verb, so the key is unknown."""
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"method": "psi", "psi_tol": 1e-2}))
+    code, _, err = _run(capsys, ["cap", op_file, "--config", str(cfg)])
+    assert code == 2
+    assert "ConfigError: unknown config keys: psi_tol" in err
+
+
 def test_probe_rejects_jobs(capsys, op_file, tmp_path):
     code, _, _ = _run(capsys, ["probe", op_file, "--seed", "1", "--jobs", "2"])
     assert code == 2
