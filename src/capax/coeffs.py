@@ -4,13 +4,17 @@ For diagonal input D = diag(lam), det(T(D)) is a polynomial sum_j d_j * lam^j
 over multi-indices j of total degree m. Three independent routes compute the
 coefficient vector d:
 
-* d_leibniz: permutation expansion of the determinant over matrix-unit
-  coefficients, grouped by the fibers of the word-to-multi-index surjection.
+* d_leibniz: signed permutation expansion of the determinant over
+  matrix-unit coefficients, summed row by row over (used columns, letter
+  counts) states so that shared prefixes are multiplied once; at most
+  n * m * 2^m * binomial(n+m-1, m) transitions.
 * d_cauchy_binet: Gram-minor expansion over m-subsets of the labeled Kraus
   columns; each contribution is a squared modulus, so nonnegativity is
-  structural.
+  structural. Cost grows with binomial(n*K, m).
 * d_interpolate: least-squares fit of det(T(diag(lam))) sampled on a random
-  positive grid, with iterative refinement in extended precision.
+  positive grid, with iterative refinement in extended precision; one QR
+  factorization per grid, O(S * N^2) for S points and N coefficients, and
+  O(S * N) per call once the default grid's factors are cached.
 
 Agreement of the three routes is the main correctness check for everything
 downstream.
@@ -23,6 +27,7 @@ from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
 
 import numpy as np
+from scipy.linalg import solve_triangular
 
 from . import cpop
 from .errors import (
@@ -42,6 +47,10 @@ __all__ = [
     "evaluate_poly",
     "lipschitz_ratio",
 ]
+
+
+# rows per Vandermonde block in d_interpolate's factorization and residuals
+_RESIDUAL_ROWS = 256
 
 
 def enumerate_multiindices(n: int, m: int) -> list[tuple[int, ...]]:
@@ -126,45 +135,63 @@ class CoeffVector:
                 fh.write(",".join(str(c) for c in j) + f",{float(v)!r}\n")
 
 
-class _LeibnizPlan:
-    def __init__(self, n: int, m: int):
-        self.n, self.m = n, m
-        js = enumerate_multiindices(n, m)
-        self.num_coeffs = len(js)
-        jarr = np.array(js, dtype=np.int64)
-        base = (m + 1) ** np.arange(n, dtype=np.int64)
-        jkeys = jarr @ base
-        self.key_order = np.argsort(jkeys)
-        self.sorted_keys = jkeys[self.key_order]
-        self.jarr = jarr
-        # all words k in [n]^m as 0-based rows, lexicographic
-        grids = np.meshgrid(*([np.arange(n)] * m), indexing="ij") if m > 0 else []
-        if m > 0:
-            k_all = np.stack(grids, axis=-1).reshape(-1, m)
-        else:
-            k_all = np.zeros((1, 0), dtype=np.int64)
-        counts = (k_all[:, :, None] == np.arange(n)).sum(axis=1)
-        jpos = self.lookup(counts @ base)
-        order = np.argsort(jpos, kind="stable")
-        self.k_sorted = k_all[order]
-        self.group_starts = np.searchsorted(jpos[order], np.arange(self.num_coeffs))
-        perms = list(itertools.permutations(range(m)))
-        self.perms = np.array(perms, dtype=np.int64) if m > 0 else np.zeros((1, 0), np.int64)
-        self.signs = np.array([_perm_sign(p) for p in perms] or [1], dtype=float)
-
-    def lookup(self, keys: np.ndarray) -> np.ndarray:
-        """Map base-(m+1) count keys to positions in the lexicographic list."""
-        return self.key_order[np.searchsorted(self.sorted_keys, keys)]
+def _read_only(*arrays: np.ndarray) -> tuple[np.ndarray, ...]:
+    """Freeze arrays that a cache hands to every caller."""
+    for a in arrays:
+        a.setflags(write=False)
+    return arrays
 
 
-def _perm_sign(p) -> int:
-    inversions = sum(1 for a, b in itertools.combinations(p, 2) if a > b)
-    return -1 if inversions % 2 else 1
+@lru_cache(maxsize=32)
+def _multiindex_table(n: int, m: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """The lexicographic multi-index list as an (N, n) array, the base-(m+1)
+    weights that turn letter counts into integer keys, the sorted keys of
+    the list and their positions in it."""
+    jarr = np.array(enumerate_multiindices(n, m), dtype=np.int64)
+    base = (m + 1) ** np.arange(n, dtype=np.int64)
+    keys = jarr @ base
+    order = np.argsort(keys)
+    return _read_only(jarr, base, keys[order], order)
 
 
-@lru_cache(maxsize=None)
-def _leibniz_plan(n: int, m: int) -> _LeibnizPlan:
-    return _LeibnizPlan(n, m)
+def _lookup(n: int, m: int, keys: np.ndarray) -> np.ndarray:
+    """Map letter-count keys to positions in the lexicographic list."""
+    _, _, sorted_keys, order = _multiindex_table(n, m)
+    return order[np.searchsorted(sorted_keys, keys)]
+
+
+@lru_cache(maxsize=16)
+def _leibniz_plan(n: int, m: int) -> tuple[tuple[tuple[np.ndarray, ...], ...], np.ndarray]:
+    """Row-by-row transition tables for the prefix-grouped Leibniz sum.
+
+    A state after i rows is the set of used columns (a bit mask) plus the
+    letter counts so far. Placing row i in free column c with letter l moves
+    to the state with c used and l counted once more; the permutation sign
+    flips once for each used column above c. Level i lists its transitions
+    sorted by target state: the source state, the flat index of the factor
+    +-T(E_ll)[i, c] in the signed image stack [T(E_ll)] + [-T(E_ll)], and the
+    start of each target's run. The second value maps the final states to
+    lexicographic multi-index positions.
+    """
+    base = _multiindex_table(n, m)[1]
+    stride = (m + 1) ** n
+    masks = np.zeros(1, dtype=np.int64)
+    counts = np.zeros(1, dtype=np.int64)
+    levels = []
+    for i in range(m):
+        src, col, letter = np.indices((masks.size, m, n)).reshape(3, -1)
+        free = (masks[src] >> col) & 1 == 0
+        src, col, letter = src[free], col[free], letter[free]
+        above = sum(((masks[src] >> b) & 1) * (col < b) for b in range(m))
+        targets, dst = np.unique(
+            (masks[src] | (1 << col)) * stride + counts[src] + base[letter], return_inverse=True
+        )
+        order = np.argsort(dst, kind="stable")
+        factor = ((above % 2 * n + letter) * m + i) * m + col
+        starts = np.searchsorted(dst[order], np.arange(targets.size))
+        levels.append(_read_only(*(a.astype(np.int32) for a in (src[order], factor[order], starts))))
+        masks, counts = targets // stride, targets % stride
+    return tuple(levels), _read_only(_lookup(n, m, counts))[0]
 
 
 def _diag_images(t) -> tuple[np.ndarray, int, int]:
@@ -187,35 +214,27 @@ def _diag_images(t) -> tuple[np.ndarray, int, int]:
 
 
 def d_leibniz(t, max_m: int = 7) -> CoeffVector:
-    """Coefficient vector by the signed permutation expansion.
+    """Coefficient vector by the signed Leibniz expansion, grouped by row prefix.
 
-    Iterates permutations outermost and accumulates per-fiber products with
-    compensated summation; cost O(m! * n^m * m). Imaginary residue above
-    1e-10 of the coefficient scale raises NonRealCoefficient.
+    Expands det(sum_l lam_l T(E_ll)) one row at a time over states (used
+    columns, letter counts), so every permutation-word pair sharing a prefix
+    shares its partial product. The transitions number at most
+    n * m * 2^m * binomial(n+m-1, m): polynomial in n, exponential rather
+    than factorial in m. Imaginary residue above 1e-10 of the coefficient
+    scale raises NonRealCoefficient.
     """
     images, n, m = _diag_images(t)
     if m > max_m:
         raise CombinatorialOverflow(
             f"m={m} exceeds the permutation ceiling {max_m}; raise max_m to force the computation"
         )
-    plan = _leibniz_plan(n, m)
-    vals = np.zeros(plan.num_coeffs, dtype=complex)
-    comp = np.zeros(plan.num_coeffs, dtype=complex)
-    rows = np.arange(m)
-    for perm, sign in zip(plan.perms, plan.signs):
-        if m > 0:
-            gathered = images[:, rows, perm].T  # [i, l] = images[l, i, perm[i]]
-            prod = gathered[0, plan.k_sorted[:, 0]].copy()
-            for i in range(1, m):
-                prod *= gathered[i, plan.k_sorted[:, i]]
-            contrib = sign * np.add.reduceat(prod, plan.group_starts)
-        else:
-            contrib = np.ones(1, dtype=complex)
-        # Kahan update, vectorized over coefficients
-        y = contrib - comp
-        total = vals + y
-        comp = (total - vals) - y
-        vals = total
+    levels, positions = _leibniz_plan(n, m)
+    signed = np.concatenate([images, -images]).ravel()
+    partial = np.ones(1, dtype=complex)
+    for src, factor, starts in levels:
+        partial = np.add.reduceat(partial[src] * signed[factor], starts)
+    vals = np.empty(positions.size, dtype=complex)
+    vals[positions] = partial
     scale = max(float(np.abs(vals).max(initial=0.0)), 1.0)
     worst = float(np.abs(vals.imag).max(initial=0.0))
     if worst > 1e-10 * scale:
@@ -240,13 +259,12 @@ def d_cauchy_binet(t: cpop.CPOperator, max_subsets: int = 10_000_000) -> CoeffVe
         raise CombinatorialOverflow(
             f"binomial({n * kk}, {m}) = {total} subsets exceeds the ceiling {max_subsets}"
         )
-    plan = _leibniz_plan(n, m)
-    vals = np.zeros(plan.num_coeffs, dtype=float)
+    vals = np.zeros(math.comb(n + m - 1, m), dtype=float)
     if total == 0:
         return CoeffVector(n, m, vals)
     columns = np.hstack([a for a in t.kraus])  # (m, n*K), label = column index mod n
     labels = np.tile(np.arange(n, dtype=np.int64), kk)
-    base = (m + 1) ** np.arange(n, dtype=np.int64)
+    base = _multiindex_table(n, m)[1]
     combos = itertools.combinations(range(n * kk), m)
     chunk_size = 20000
     while True:
@@ -258,8 +276,39 @@ def d_cauchy_binet(t: cpop.CPOperator, max_subsets: int = 10_000_000) -> CoeffVe
         dets = np.linalg.det(mats)
         weights = (dets * dets.conj()).real
         keys = base[labels[chunk]].sum(axis=1)
-        np.add.at(vals, plan.lookup(keys), weights)
+        np.add.at(vals, _lookup(n, m, keys), weights)
     return CoeffVector(n, m, vals)
+
+
+def _vandermonde_blocks(log_lam: np.ndarray, jarr: np.ndarray):
+    """Row blocks (rows, lam^j) of the Vandermonde matrix exp(log(lam) @ j).
+
+    The factorization and the residuals both form V through this generator,
+    so the residual blocks are the very rows that were factored, while no
+    whole copy of V is kept.
+    """
+    for lo in range(0, log_lam.shape[0], _RESIDUAL_ROWS):
+        rows = slice(lo, lo + _RESIDUAL_ROWS)
+        yield rows, np.exp(log_lam[rows] @ jarr.T)
+
+
+def _factor_grid(lam: np.ndarray, jarr: np.ndarray) -> tuple[np.ndarray, np.ndarray, float]:
+    """Reduced QR of the grid's Vandermonde matrix and its 2-norm condition
+    number, read from the singular values of R (they equal those of V)."""
+    q, r = np.linalg.qr(np.vstack([block for _, block in _vandermonde_blocks(np.log(lam), jarr)]))
+    svals = np.linalg.svd(r, compute_uv=False)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        return q, r, float(svals[0] / svals[-1])
+
+
+@lru_cache(maxsize=16)
+def _default_grid(n: int, m: int, oversample: int, spread: float, seed: int):
+    """Log-uniform random grid for (n, m) with its factored Vandermonde matrix."""
+    num = math.comb(n + m - 1, m)
+    rng = np.random.default_rng(seed)
+    lam = np.exp(rng.uniform(-spread, spread, size=(max(oversample, 1) * num + 2, n)))
+    q, r, cond = _factor_grid(lam, _multiindex_table(n, m)[0].astype(float))
+    return (*_read_only(lam, q, r), cond)
 
 
 def d_interpolate(
@@ -275,17 +324,18 @@ def d_interpolate(
 
     Samples det(T(diag(lam))) on a log-uniform random positive grid (or a
     caller-supplied one with at least as many points as coefficients), fits
-    the monomial model, and polishes with two rounds of iterative refinement
-    using extended-precision residuals. The relative fit residual is stored
-    on the result; grids with condition number above cond_limit are rejected.
+    the monomial model through one QR factorization of the Vandermonde
+    matrix, and polishes with two rounds of iterative refinement using
+    extended-precision residuals formed in row blocks. The default grid and
+    its factors are cached per (n, m, oversample, spread, seed). The relative
+    fit residual is stored on the result; grids with condition number above
+    cond_limit are rejected.
     """
     images, n, m = _diag_images(t)
-    js = enumerate_multiindices(n, m)
-    jarr = np.array(js, dtype=float)
-    num = len(js)
+    jarr = _multiindex_table(n, m)[0].astype(float)
+    num = jarr.shape[0]
     if probe_grid is None:
-        rng = np.random.default_rng(seed)
-        lam = np.exp(rng.uniform(-spread, spread, size=(max(oversample, 1) * num + 2, n)))
+        lam, q, r, cond = _default_grid(n, m, oversample, spread, seed)
     else:
         lam = np.asarray(probe_grid, dtype=float)
         if lam.ndim != 2 or lam.shape[1] != n:
@@ -296,25 +346,31 @@ def d_interpolate(
             )
         if lam.min() <= 0:
             raise IllConditionedGrid("probe grid must be strictly positive")
-
-    vandermonde = np.exp(np.log(lam) @ jarr.T)  # (S, num)
-    cond = float(np.linalg.cond(vandermonde))
+        q, r, cond = _factor_grid(lam, jarr)
     if not np.isfinite(cond) or cond > cond_limit:
         raise IllConditionedGrid(f"grid condition number {cond:.3e} exceeds {cond_limit:.1e}")
 
+    log_lam = np.log(lam)
     dets = np.linalg.det(np.einsum("lij,sl->sij", images, lam, optimize=True))
     b = dets.real
 
     scale = max(float(np.abs(b).max(initial=0.0)), 1e-300)
     rhs = b / scale
-    coeffs = np.linalg.lstsq(vandermonde, rhs, rcond=None)[0]
-    v_ext = vandermonde.astype(np.longdouble)
-    rhs_ext = rhs.astype(np.longdouble)
+
+    def solve(vec):
+        return solve_triangular(r, q.T @ vec)
+
+    def residual(coeffs):
+        c_ext = coeffs.astype(np.longdouble)
+        out = np.empty(rhs.size)
+        for rows, block in _vandermonde_blocks(log_lam, jarr):
+            out[rows] = rhs[rows].astype(np.longdouble) - np.einsum("ij,j->i", block, c_ext)
+        return out
+
+    coeffs = solve(rhs)
     for _ in range(2):
-        residual_ext = rhs_ext - v_ext @ coeffs.astype(np.longdouble)
-        coeffs = coeffs + np.linalg.lstsq(vandermonde, np.asarray(residual_ext, float), rcond=None)[0]
-    final_res = rhs_ext - v_ext @ coeffs.astype(np.longdouble)
-    rel_residual = float(np.linalg.norm(np.asarray(final_res, float)) / max(np.linalg.norm(rhs), 1e-300))
+        coeffs = coeffs + solve(residual(coeffs))
+    rel_residual = float(np.linalg.norm(residual(coeffs)) / max(np.linalg.norm(rhs), 1e-300))
     return CoeffVector(n, m, coeffs * scale, fit_residual=rel_residual)
 
 

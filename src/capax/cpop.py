@@ -32,8 +32,9 @@ __all__ = [
     "from_json",
 ]
 
-# Coefficient extraction is factorial in m, so large instances are legal but
-# deserve a warning at construction time.
+# Coefficient extraction is exponential in m (2^m column sets for the Leibniz
+# route, binomial(n*K, m) minors for the Gram-minor route), so large instances
+# are legal but deserve a warning at construction time.
 _COMFORT_DIM = 6
 _COMFORT_KRAUS = 8
 
@@ -71,7 +72,7 @@ class CPOperator:
             warnings.warn(
                 f"CP operator with n={shape[1]}, m={shape[0]}, K={len(clean)} exceeds the "
                 f"comfortable scale (dims <= {_COMFORT_DIM}, K <= {_COMFORT_KRAUS}); "
-                "coefficient extraction cost grows factorially in m",
+                "coefficient extraction cost grows exponentially in m",
                 stacklevel=2,
             )
 

@@ -16,11 +16,12 @@ thousands of problems sharing one exponent family.
 from __future__ import annotations
 
 import enum
+import hashlib
 import json
 import math
 import warnings
+from collections import OrderedDict, namedtuple
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 from scipy.optimize import linprog
@@ -62,6 +63,8 @@ __all__ = [
 _WEIGHT_TOL = 1e-7
 _MEMBER_ETA_REL = 1e-11
 _DEFAULT_SUPPORT_REL = 1e-14
+
+_CacheInfo = namedtuple("_CacheInfo", "hits misses maxsize currsize")
 
 
 @dataclass(frozen=True)
@@ -158,34 +161,26 @@ def _default_support_eps(d: np.ndarray) -> float:
 
 def _feasible_alpha_lp(u_sup: np.ndarray, eta: float, objective: np.ndarray):
     """Maximize objective @ [alpha, s] over alpha >= s >= 0, sum(alpha) = 1,
-    |sum_j alpha_j u_j|_inf <= eta. Returns the linprog result."""
+    |sum_j alpha_j u_j|_inf <= eta. Returns (linprog status, [alpha, s] or None).
+
+    The LP is solved in alpha = s + beta with beta >= 0, so the N rows
+    alpha_j >= s become variable bounds and only the 2n hull rows and the
+    normalization remain.
+    """
     s_count = u_sup.shape[0]
-    n = u_sup.shape[1]
-    a_ub = []
-    b_ub = []
-    for i in range(n):
-        a_ub.append(np.concatenate([u_sup[:, i], [0.0]]))
-        b_ub.append(eta)
-        a_ub.append(np.concatenate([-u_sup[:, i], [0.0]]))
-        b_ub.append(eta)
-    for j in range(s_count):
-        row = np.zeros(s_count + 1)
-        row[j] = -1.0
-        row[s_count] = 1.0
-        a_ub.append(row)
-        b_ub.append(0.0)
-    a_eq = [np.concatenate([np.ones(s_count), [0.0]])]
-    b_eq = [1.0]
-    bounds = [(0.0, 1.0)] * s_count + [(0.0, 1.0)]
-    return linprog(
-        -objective,
-        A_ub=np.array(a_ub),
-        b_ub=np.array(b_ub),
-        A_eq=np.array(a_eq),
-        b_eq=np.array(b_eq),
-        bounds=bounds,
+    hull_rows = np.hstack([u_sup.T, u_sup.sum(axis=0)[:, None]])
+    res = linprog(
+        -np.append(objective[:s_count], objective.sum()),
+        A_ub=np.vstack([hull_rows, -hull_rows]),
+        b_ub=np.full(2 * u_sup.shape[1], eta),
+        A_eq=np.append(np.ones(s_count), s_count)[None, :],
+        b_eq=[1.0],
+        bounds=(0.0, 1.0),
         method="highs",
     )
+    if res.x is None:
+        return res.status, None
+    return res.status, np.append(res.x[:s_count] + res.x[s_count], res.x[s_count])
 
 
 def _analyze_hull(u_sup: np.ndarray) -> tuple[HullTag, tuple[int, ...] | None]:
@@ -200,24 +195,24 @@ def _analyze_hull(u_sup: np.ndarray) -> tuple[HullTag, tuple[int, ...] | None]:
     # membership plus maximal minimum weight in one LP
     obj = np.zeros(s_count + 1)
     obj[s_count] = 1.0
-    res = _feasible_alpha_lp(u_sup, eta, obj)
-    if res.status == 2:
+    status, x = _feasible_alpha_lp(u_sup, eta, obj)
+    if status == 2:
         return HullTag.EXTERIOR_ZERO, None
-    if res.status != 0:
-        raise CapaxError(f"hull membership LP failed with status {res.status}")
-    min_weight = float(res.x[s_count])
+    if status != 0:
+        raise CapaxError(f"hull membership LP failed with status {status}")
+    min_weight = float(x[s_count])
     if min_weight >= _WEIGHT_TOL:
         return HullTag.INTERIOR_ZERO, None
 
     # boundary: the minimal face holds exactly the indices that can carry weight
-    in_face = res.x[:s_count] > _WEIGHT_TOL
+    in_face = x[:s_count] > _WEIGHT_TOL
     for j in range(s_count):
         if in_face[j]:
             continue
         obj_j = np.zeros(s_count + 1)
         obj_j[j] = 1.0
-        res_j = _feasible_alpha_lp(u_sup, eta, obj_j)
-        if res_j.status == 0 and float(res_j.x[j]) > _WEIGHT_TOL:
+        status_j, x_j = _feasible_alpha_lp(u_sup, eta, obj_j)
+        if status_j == 0 and float(x_j[j]) > _WEIGHT_TOL:
             in_face[j] = True
     face = tuple(int(i) for i in np.flatnonzero(in_face))
     if len(face) == 0:
@@ -225,10 +220,36 @@ def _analyze_hull(u_sup: np.ndarray) -> tuple[HullTag, tuple[int, ...] | None]:
     return HullTag.BOUNDARY_ZERO, face
 
 
-@lru_cache(maxsize=4096)
-def _cached_hull(data: bytes, shape: tuple[int, int]) -> tuple[HullTag, tuple[int, ...] | None]:
-    """_analyze_hull keyed by the support geometry; cache_info() counts hits."""
-    return _analyze_hull(np.frombuffer(data).reshape(shape))
+class _HullCache:
+    """Bounded LRU map from the support geometry to _analyze_hull's answer.
+
+    The key is a 16-byte BLAKE2b digest of the exponent bytes plus the shape,
+    so an entry costs the same however many terms the support has.
+    cache_info() reports hits, misses, maxsize and currsize.
+    """
+
+    def __init__(self, maxsize: int):
+        self.maxsize = maxsize
+        self._entries: OrderedDict = OrderedDict()
+        self._hits = self._misses = 0
+
+    def __call__(self, u_sup: np.ndarray) -> tuple[HullTag, tuple[int, ...] | None]:
+        key = (hashlib.blake2b(u_sup, digest_size=16).digest(), u_sup.shape)
+        if key in self._entries:
+            self._hits += 1
+            self._entries.move_to_end(key)
+            return self._entries[key]
+        self._misses += 1
+        value = self._entries[key] = _analyze_hull(u_sup)
+        if len(self._entries) > self.maxsize:
+            self._entries.popitem(last=False)
+        return value
+
+    def cache_info(self) -> _CacheInfo:
+        return _CacheInfo(self._hits, self._misses, self.maxsize, len(self._entries))
+
+
+_cached_hull = _HullCache(maxsize=4096)
 
 
 def classify_hull(problem: ExpSumProblem, support_eps: float | None = None) -> HullClassification:
@@ -243,7 +264,7 @@ def classify_hull(problem: ExpSumProblem, support_eps: float | None = None) -> H
     if support.size == 0:
         raise EmptySupport(f"no weight exceeds the support threshold {support_eps:.3e}")
     u_sup = np.ascontiguousarray(problem.u[support])
-    tag, face_rel = _cached_hull(u_sup.tobytes(), u_sup.shape)
+    tag, face_rel = _cached_hull(u_sup)
     if tag is HullTag.BOUNDARY_ZERO:
         face_abs = tuple(int(support[i]) for i in face_rel)
         return HullClassification(tag, face_abs)

@@ -61,14 +61,16 @@ def eigh(h) -> tuple[np.ndarray, np.ndarray]:
 def psd_inv_sqrt(h, eps: float = 1e-12) -> np.ndarray:
     """Inverse square root of a positive definite Hermitian matrix.
 
-    Raises SingularMatrix when the smallest eigenvalue falls below eps.
+    Raises SingularMatrix when the smallest eigenvalue falls below eps times
+    the largest, so the floor scales with the matrix.
     """
     w, v = eigh(h)
     if w.size == 0:
         return np.zeros((0, 0), dtype=complex)
-    if w.min() < eps:
+    if not (w.max() > 0 and w.min() >= eps * w.max()):
         raise SingularMatrix(
-            f"matrix is not safely positive definite (min eigenvalue {w.min():.3e} < {eps:.1e})"
+            f"matrix is not safely positive definite (eigenvalues {w.min():.3e} to {w.max():.3e}, "
+            f"relative floor {eps:.1e})"
         )
     return hermitian_part((v * (w ** -0.5)) @ v.conj().T)
 

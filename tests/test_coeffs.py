@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -21,7 +22,23 @@ from capax import (
     pi_fiber,
     trace_channel,
 )
+from capax.coeffs import _default_grid, _diag_images
 from conftest import make_op
+
+
+def _leibniz_by_permutations(t) -> np.ndarray:
+    """Reference coefficients: the signed Leibniz sum over every permutation
+    and every word, one permutation at a time."""
+    images, n, m = _diag_images(t)
+    words = np.array(list(itertools.product(range(n), repeat=m))).reshape(-1, m)
+    slot = {j: p for p, j in enumerate(enumerate_multiindices(n, m))}
+    slots = [slot[tuple(np.bincount(w, minlength=n))] for w in words]
+    vals = np.zeros(len(slot), dtype=complex)
+    for perm in itertools.permutations(range(m)):
+        sign = (-1) ** sum(a > b for a, b in itertools.combinations(perm, 2))
+        # images[word[i], i, perm[i]] multiplied over the rows i
+        np.add.at(vals, slots, sign * np.prod(images[words, np.arange(m), perm], axis=1))
+    return vals.real
 
 
 def test_enumerate_small_case():
@@ -81,6 +98,24 @@ def test_leibniz_near_nonnegative():
         assert cv.values.min() >= -1e-10
 
 
+@pytest.mark.parametrize(
+    "case", [(1, 1, 1), (2, 3, 1), (3, 2, 3), (4, 4, 2), "matrix-rep"], ids=str
+)
+def test_leibniz_matches_permutation_reference(case):
+    t = make_op(3, 3, 2, seed=71).matrix_rep if case == "matrix-rep" else make_op(*case, seed=71)
+    ref = _leibniz_by_permutations(t)
+    gap = np.abs(d_leibniz(t).values - ref).max()
+    assert gap <= 1e-13 * max(np.abs(ref).max(), 1.0)
+
+
+def test_leibniz_matches_cauchy_binet_at_m7():
+    with pytest.warns(UserWarning, match="comfortable scale"):
+        t = make_op(7, 7, 2, seed=73)
+    ref, other = d_leibniz(t).values, d_cauchy_binet(t).values
+    bounds = 1e-12 + 1e-9 * np.maximum(np.abs(ref), np.abs(other))
+    assert np.all(np.abs(ref - other) <= bounds)
+
+
 def test_cauchy_binet_exactly_nonnegative():
     for seed in range(8):
         cv = d_cauchy_binet(make_op(2, 3, 2, seed=seed))
@@ -138,6 +173,24 @@ def test_interpolate_accepts_custom_grid(rng):
     cv = d_interpolate(t, probe_grid=grid)
     assert_allclose(cv.values, d_leibniz(t).values, atol=1e-9)
     assert cv.fit_residual is not None and cv.fit_residual <= 1e-9
+
+
+def test_interpolate_default_grid_repeats_exactly():
+    """The cached default-grid factors give the same bits on every call, and
+    the same bits as passing that grid explicitly, which factors afresh."""
+    t = make_op(3, 3, 2, seed=79)
+    first, again = d_interpolate(t), d_interpolate(t)
+    assert np.array_equal(first.values, again.values)
+    assert first.fit_residual == again.fit_residual
+    grid = _default_grid(3, 3, 3, 0.7, 2027)[0]
+    assert np.array_equal(d_interpolate(t, probe_grid=grid).values, first.values)
+
+
+def test_interpolate_rejects_repeated_rows(rng):
+    t = make_op(2, 2, 2, seed=83)
+    rows = np.exp(rng.uniform(-0.5, 0.5, size=(2, 2)))
+    with pytest.raises(IllConditionedGrid):
+        d_interpolate(t, probe_grid=np.repeat(rows, 6, axis=0))
 
 
 def test_interpolate_rejects_small_grid():

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
+from scipy.optimize import linprog
 
 from capax import (
     CapaxError,
@@ -26,7 +27,8 @@ from capax import (
     semicontinuity_bound,
     trace_channel,
 )
-from capax.expsum import _cached_hull
+from capax import expsum
+from capax.expsum import _analyze_hull, _cached_hull
 
 # the trace channel on 2x2 inputs: weights (1, 2, 1) on exponents
 # (-1, 1), (0, 0), (1, -1); the infimum 4 sits at the origin
@@ -104,6 +106,61 @@ def test_hull_cache_is_bounded_and_counts_hits():
     # the second call shares the support geometry, so it is a hit
     assert _cached_hull.cache_info().hits >= info.hits + 1
     assert _cached_hull.cache_info().currsize <= info.maxsize
+
+
+def _row_form_alpha_lp(u_sup, eta, objective):
+    """Reference hull LP with one row alpha_j >= s per term, over [alpha, s]."""
+    count, n = u_sup.shape
+    hull_rows = np.hstack([u_sup.T, np.zeros((n, 1))])
+    weight_rows = np.hstack([-np.eye(count), np.ones((count, 1))])
+    res = linprog(
+        -objective,
+        A_ub=np.vstack([hull_rows, -hull_rows, weight_rows]),
+        b_ub=np.concatenate([np.full(2 * n, eta), np.zeros(count)]),
+        A_eq=np.append(np.ones(count), 0.0)[None, :],
+        b_eq=[1.0],
+        bounds=(0.0, 1.0),
+        method="highs",
+    )
+    return res.status, res.x
+
+
+def _hull_case(kind, seed):
+    """Seeded exponents whose hull holds the origin inside, on a face, or not."""
+    rng = np.random.default_rng(seed)
+    n = 2 + seed % 3
+    u = rng.standard_normal((n + 3 + seed % 5, n))
+    if kind == "interior":
+        return u - u.mean(axis=0)
+    if kind == "exterior":
+        u[:, 0] = np.abs(u[:, 0]) + 0.1
+        return u
+    # boundary: a centred face in the hyperplane u_0 = 0, the rest above it
+    face = u[: n + 1] - u[: n + 1].mean(axis=0)
+    face[:, 0] = 0.0
+    rest = u[n + 1 :]
+    rest[:, 0] = np.abs(rest[:, 0]) + 0.1
+    return np.vstack([face, rest])
+
+
+@pytest.mark.parametrize(
+    "kind,tag",
+    [
+        ("interior", HullTag.INTERIOR_ZERO),
+        ("boundary", HullTag.BOUNDARY_ZERO),
+        ("exterior", HullTag.EXTERIOR_ZERO),
+    ],
+)
+def test_bound_form_hull_lp_matches_row_form(kind, tag, monkeypatch):
+    for seed in range(12):
+        u = _hull_case(kind, seed)
+        got = _analyze_hull(u)
+        with monkeypatch.context() as patch:
+            patch.setattr(expsum, "_feasible_alpha_lp", _row_form_alpha_lp)
+            assert _analyze_hull(u) == got
+        assert got[0] is tag
+        if kind == "boundary":
+            assert got[1] == tuple(range(u.shape[1] + 1))
 
 
 def test_empty_support_raises():

@@ -70,6 +70,13 @@ def test_psd_inv_sqrt_random(rng):
     assert_allclose(s @ h @ s, np.eye(4), atol=1e-9)
 
 
+def test_psd_inv_sqrt_floor_is_relative():
+    """A well-conditioned matrix of tiny scale passes; a singular one does not."""
+    assert_allclose(psd_inv_sqrt(1e-14 * np.eye(2)), 1e7 * np.eye(2), rtol=1e-12)
+    with pytest.raises(SingularMatrix):
+        psd_inv_sqrt(np.diag([1.0, 0.0]))
+
+
 def test_psd_inv_sqrt_rejects_singular():
     with pytest.raises(SingularMatrix):
         psd_inv_sqrt(np.diag([1.0, 0.0]).astype(complex))
