@@ -25,11 +25,12 @@ import enum
 import json
 import math
 from dataclasses import dataclass, field, replace
+from functools import lru_cache
 
 import numpy as np
 from scipy.optimize import minimize
 
-from .coeffs import d_leibniz
+from .coeffs import _multiindex_table, d_leibniz
 from .cpop import CPOperator, apply
 from .errors import (
     CapaxError,
@@ -99,9 +100,15 @@ def diag_problem(t: CPOperator | np.ndarray) -> ExpSumProblem:
     the homogeneous normalization gives Phi_d over exponents u_j = j - (m/n) 1.
     """
     cv = d_leibniz(t)
-    jarr = np.array(cv.indices, dtype=float)
-    u = jarr - (cv.m / cv.n) * np.ones(cv.n)
-    return ExpSumProblem(u, cv.values)
+    return ExpSumProblem(_diag_exponents(cv.n, cv.m), cv.values)
+
+
+@lru_cache(maxsize=32)
+def _diag_exponents(n: int, m: int) -> np.ndarray:
+    """The read-only exponents u_j = j - (m/n) 1 of diag_problem for (n, m)."""
+    u = _multiindex_table(n, m)[0] - m / n
+    u.setflags(write=False)
+    return u
 
 
 def capacity_ratio(t: CPOperator, x) -> float:
@@ -424,13 +431,20 @@ class ScalingState:
     col_transform: np.ndarray
 
 
+def _distance_from_identity(h: np.ndarray) -> float:
+    """Frobenius distance of h from I over sqrt(dimension)."""
+    diff = h.copy()
+    diff.flat[:: len(h) + 1] -= 1.0
+    return float(np.linalg.norm(diff)) / math.sqrt(len(h))
+
+
 def _marginals(a: np.ndarray) -> tuple[np.ndarray, np.ndarray, tuple[float, float]]:
     """Row and column marginals T(I) and T*(I) of the raw (K, m, n) stack a,
-    and their residuals: Frobenius distances from I over sqrt(dimension)."""
+    and their residuals. Both are sums of Gram matrices A_k A_k* and A_k* A_k,
+    Hermitian up to rounding; _scale symmetrizes the one it decomposes."""
     ah = a.conj().transpose(0, 2, 1)
-    q, p = hermitian_part((a @ ah).sum(axis=0)), hermitian_part((ah @ a).sum(axis=0))
-    residuals = (float(np.linalg.norm(h - np.eye(len(h))) / math.sqrt(len(h))) for h in (q, p))
-    return q, p, tuple(residuals)
+    q, p = (a @ ah).sum(axis=0), (ah @ a).sum(axis=0)
+    return q, p, (_distance_from_identity(q), _distance_from_identity(p))
 
 
 def _scale(a: np.ndarray, q: np.ndarray, p: np.ndarray, side: str):
@@ -445,8 +459,10 @@ def _scale(a: np.ndarray, q: np.ndarray, p: np.ndarray, side: str):
     if side not in ("row", "col"):
         raise CapaxError(f"unknown scaling side {side!r}")
     h, dim, context = (q, a.shape[1], "row") if side == "row" else (p, a.shape[2], "column")
-    w, v = eigh(h)
-    if float(w.min()) <= 1e-12 * max(float(w.max()), 1e-300):
+    # One symmetrization, here: the eigenpairs then do not depend on which
+    # triangle eigh reads, and S is symmetrized for the same reason.
+    w, v = np.linalg.eigh(hermitian_part(h))
+    if float(w[0]) <= 1e-12 * max(float(w[-1]), 1e-300):
         raise SingularMarginal(f"{context} marginal is numerically singular")
     s = hermitian_part((v * (w ** -0.5)) @ v.conj().T)
     return (s @ a if side == "row" else a @ s), float(np.sum(np.log(w))) / dim, s

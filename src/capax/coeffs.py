@@ -196,12 +196,19 @@ def _leibniz_plan(n: int, m: int) -> tuple[tuple[tuple[np.ndarray, ...], ...], n
 
 def _diag_images(t) -> tuple[np.ndarray, int, int]:
     """Stack of the n matrices T(E_ll), for a CPOperator, a (K, m, n) Kraus
-    stack or a flat matrix rep."""
+    stack or a flat matrix rep.
+
+    For a Kraus stack, T(E_ll) = C_l C_l* where C_l is the (m, K) matrix of
+    the l-th Kraus columns, so the stack is one batched matmul, taken as the
+    transpose of conj(C_l) C_l^T: that factor order is the one numpy's
+    einsum uses for this contraction, and for K >= 2 both give the same bits.
+    """
     if isinstance(t, cpop.CPOperator):
         t = t._kraus_stack
     rep = np.asarray(t, dtype=complex)
     if rep.ndim == 3:
-        images = np.einsum("kil,kjl->lij", rep, rep.conj(), optimize=True)
+        cols = rep.transpose(2, 1, 0)
+        images = (cols.conj() @ cols.transpose(0, 2, 1)).transpose(0, 2, 1)
         return images, rep.shape[2], rep.shape[1]
     if rep.ndim != 2:
         raise DimensionMismatch(f"matrix representation must be 2-d, got shape {rep.shape}")

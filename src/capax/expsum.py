@@ -11,7 +11,9 @@ relative to the convex hull of the exponent vectors carrying positive weight:
 
 Hull questions are answered with small linear programs. Classification
 results are cached by support geometry because capacity searches evaluate
-thousands of problems sharing one exponent family.
+thousands of problems sharing one exponent family; each cache entry also
+holds the orthonormal span basis of the active exponents, so a Psi solve on
+a known geometry needs neither an LP nor an SVD.
 """
 from __future__ import annotations
 
@@ -19,9 +21,8 @@ import enum
 import hashlib
 import json
 import math
-import warnings
 from collections import OrderedDict, namedtuple
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 from scipy.optimize import linprog
@@ -112,10 +113,18 @@ class HullTag(str, enum.Enum):
 
 @dataclass(frozen=True)
 class HullClassification:
-    """Position of the origin relative to the hull of the supported exponents."""
+    """Position of the origin relative to the hull of the supported exponents.
+
+    _terms (the absolute indices of the active exponents: the support, or the
+    face on the boundary) and _basis (an orthonormal basis of their span, as
+    columns) come from the same cache lookup and feed the Psi solve; they
+    are not part of the value, so they are neither compared nor shown.
+    """
 
     tag: HullTag
     active_face: tuple[int, ...] | None = None
+    _terms: np.ndarray | None = field(default=None, compare=False, repr=False)
+    _basis: np.ndarray | None = field(default=None, compare=False, repr=False)
 
 
 @dataclass(frozen=True)
@@ -220,12 +229,38 @@ def _analyze_hull(u_sup: np.ndarray) -> tuple[HullTag, tuple[int, ...] | None]:
     return HullTag.BOUNDARY_ZERO, face
 
 
+def _span_basis(u_act: np.ndarray) -> np.ndarray:
+    """Orthonormal basis (columns) for the row span of u_act."""
+    if u_act.size == 0:
+        return np.zeros((u_act.shape[1], 0))
+    _, svals, vt = np.linalg.svd(u_act, full_matrices=False)
+    if svals.size == 0 or svals[0] == 0.0:
+        return np.zeros((u_act.shape[1], 0))
+    rank = int(np.sum(svals > 1e-12 * svals[0]))
+    return vt[:rank].T
+
+
+_HullEntry = tuple[HullTag, tuple[int, ...] | None, np.ndarray | None]
+
+
+def _hull_entry(u_sup: np.ndarray) -> _HullEntry:
+    """_analyze_hull's answer plus the read-only span basis of the active
+    rows (all of u_sup inside, the face on the boundary, none outside)."""
+    tag, face = _analyze_hull(u_sup)
+    if tag is HullTag.EXTERIOR_ZERO:
+        return tag, face, None
+    basis = _span_basis(u_sup if face is None else u_sup[list(face)])
+    basis.setflags(write=False)
+    return tag, face, basis
+
+
 class _HullCache:
-    """Bounded LRU map from the support geometry to _analyze_hull's answer.
+    """Bounded LRU map from the support geometry to _hull_entry's answer.
 
     The key is a 16-byte BLAKE2b digest of the exponent bytes plus the shape,
-    so an entry costs the same however many terms the support has.
-    cache_info() reports hits, misses, maxsize and currsize.
+    so an entry costs the same however many terms the support has, plus its
+    basis of at most n * n floats. cache_info() reports hits, misses,
+    maxsize and currsize.
     """
 
     def __init__(self, maxsize: int):
@@ -233,14 +268,14 @@ class _HullCache:
         self._entries: OrderedDict = OrderedDict()
         self._hits = self._misses = 0
 
-    def __call__(self, u_sup: np.ndarray) -> tuple[HullTag, tuple[int, ...] | None]:
+    def __call__(self, u_sup: np.ndarray) -> _HullEntry:
         key = (hashlib.blake2b(u_sup, digest_size=16).digest(), u_sup.shape)
         if key in self._entries:
             self._hits += 1
             self._entries.move_to_end(key)
             return self._entries[key]
         self._misses += 1
-        value = self._entries[key] = _analyze_hull(u_sup)
+        value = self._entries[key] = _hull_entry(u_sup)
         if len(self._entries) > self.maxsize:
             self._entries.popitem(last=False)
         return value
@@ -263,23 +298,11 @@ def classify_hull(problem: ExpSumProblem, support_eps: float | None = None) -> H
     support = np.flatnonzero(problem.d > support_eps)
     if support.size == 0:
         raise EmptySupport(f"no weight exceeds the support threshold {support_eps:.3e}")
-    u_sup = np.ascontiguousarray(problem.u[support])
-    tag, face_rel = _cached_hull(u_sup)
+    tag, face_rel, basis = _cached_hull(np.ascontiguousarray(problem.u[support]))
     if tag is HullTag.BOUNDARY_ZERO:
-        face_abs = tuple(int(support[i]) for i in face_rel)
-        return HullClassification(tag, face_abs)
-    return HullClassification(tag, None)
-
-
-def _span_basis(u_act: np.ndarray) -> np.ndarray:
-    """Orthonormal basis (columns) for the row span of u_act."""
-    if u_act.size == 0:
-        return np.zeros((u_act.shape[1], 0))
-    _, svals, vt = np.linalg.svd(u_act, full_matrices=False)
-    if svals.size == 0 or svals[0] == 0.0:
-        return np.zeros((u_act.shape[1], 0))
-    rank = int(np.sum(svals > 1e-12 * svals[0]))
-    return vt[:rank].T
+        terms = support[list(face_rel)]
+        return HullClassification(tag, tuple(int(j) for j in terms), terms, basis)
+    return HullClassification(tag, None, support, basis)
 
 
 def _newton_log_phi(
@@ -288,54 +311,57 @@ def _newton_log_phi(
     """Damped Newton for f(z) = log sum exp(w @ z + logd); returns
     (z, gibbs weights, f, |grad|, iterations, converged)."""
     rank = w.shape[1]
+    eye = np.eye(rank)
 
     def evaluate(z):
         t = w @ z + logd
-        shift = t.max()
+        shift = float(t.max())
         q = np.exp(t - shift)
         s = q.sum()
-        return shift + np.log(s), q / s
+        return shift + math.log(s), q / s
 
     z = np.zeros(rank)
     f, p = evaluate(z)
     grad = w.T @ p
+    grad_norm = math.sqrt(grad @ grad)
     it = 0
-    converged = np.linalg.norm(grad) <= tol
+    converged = grad_norm <= tol
     # The sufficient-decrease test gets a few ulps of slack so that once f
     # reaches its floating point floor the full Newton step is still accepted
     # and keeps polishing the gradient; a strict test stalls there with the
     # step shrinking below representability.
     slack = 4.0 * np.finfo(float).eps
     while not converged and it < max_iter:
-        hess = w.T @ (w * p[:, None]) - np.outer(grad, grad)
-        ridge = 1e-13 * max(float(np.trace(hess)) / max(rank, 1), 1e-30)
+        hess = w.T @ (w * p[:, None]) - grad[:, None] * grad
+        ridge = 1e-13 * max(hess.trace() / max(rank, 1), 1e-30)
+        hess += ridge * eye
         try:
-            step = np.linalg.solve(hess + ridge * np.eye(rank), -grad)
+            step = np.linalg.solve(hess, -grad)
         except np.linalg.LinAlgError:
-            step = np.linalg.lstsq(hess + ridge * np.eye(rank), -grad, rcond=None)[0]
+            step = np.linalg.lstsq(hess, -grad, rcond=None)[0]
         descent = float(grad @ step)
         if descent >= 0:
             step = -grad
             descent = -float(grad @ grad)
+        floor = slack * max(1.0, abs(f))
         alpha = 1.0
-        accepted = False
         while alpha > 1e-14:
-            f_new, p_new = evaluate(z + alpha * step)
-            if f_new <= f + 1e-4 * alpha * descent + slack * max(1.0, abs(f)):
-                accepted = True
+            z_next = z + alpha * step
+            f_new, p_new = evaluate(z_next)
+            if f_new <= f + 1e-4 * alpha * descent + floor:
                 break
             alpha *= 0.5
-        if not accepted:
+        else:
             break
-        z_next = z + alpha * step
-        if np.array_equal(z_next, z):
+        if (z_next == z).all():  # the step vanished in rounding
             break
         z = z_next
         f, p = f_new, p_new
         grad = w.T @ p
+        grad_norm = math.sqrt(grad @ grad)
         it += 1
-        converged = np.linalg.norm(grad) <= tol
-    return z, p, float(f), float(np.linalg.norm(grad)), it, bool(converged)
+        converged = grad_norm <= tol
+    return z, p, f, grad_norm, it, converged
 
 
 def psi_minimize(problem: ExpSumProblem, tol: float = 1e-10, max_iter: int = 200) -> PsiResult:
@@ -345,31 +371,17 @@ def psi_minimize(problem: ExpSumProblem, tol: float = 1e-10, max_iter: int = 200
     the infimum over the minimal face; the returned point minimizes the face
     restriction (the full infimum is approached along a recession direction).
     Interior origin gives the attained minimum with gradient residual of
-    log Phi below tol.
+    log Phi below tol. A solve that stops short of tol returns
+    converged=False and its value is an upper bound.
     """
     cls = classify_hull(problem)
     if cls.tag is HullTag.EXTERIOR_ZERO:
         return PsiResult(0.0, None, cls, 0.0, 0, True)
-    support_eps = _default_support_eps(problem.d)
-    if cls.tag is HullTag.BOUNDARY_ZERO:
-        active = np.array(cls.active_face, dtype=int)
-    else:
-        active = np.flatnonzero(problem.d > support_eps)
-    u_act = problem.u[active]
-    d_act = problem.d[active]
-    basis = _span_basis(u_act)
-    w = u_act @ basis
+    active, basis = cls._terms, cls._basis
     z, _, f, grad_norm, iterations, converged = _newton_log_phi(
-        w, np.log(d_act), tol, max_iter
+        problem.u[active] @ basis, np.log(problem.d[active]), tol, max_iter
     )
-    if not converged:
-        warnings.warn(
-            f"Psi minimization stopped after {iterations} iterations with gradient "
-            f"residual {grad_norm:.3e} (tol {tol:.1e}); value is an upper bound",
-            stacklevel=2,
-        )
-    y = basis @ z
-    return PsiResult(float(np.exp(f)), y, cls, grad_norm, iterations, converged)
+    return PsiResult(float(np.exp(f)), basis @ z, cls, grad_norm, iterations, converged)
 
 
 def _separating_direction(
@@ -478,16 +490,9 @@ def entropy_dual(problem: ExpSumProblem, theta, tol: float = 1e-8) -> tuple[np.n
     cls = classify_hull(shifted)
     if cls.tag is HullTag.EXTERIOR_ZERO:
         raise InfeasibleMoment("theta lies outside the hull of the supported exponents")
-    if cls.tag is HullTag.BOUNDARY_ZERO:
-        active = np.array(cls.active_face, dtype=int)
-    else:
-        active = np.flatnonzero(problem.d > _default_support_eps(problem.d))
-    u_act = shifted.u[active]
-    d_act = problem.d[active]
-    basis = _span_basis(u_act)
-    w = u_act @ basis
+    active = cls._terms
     _, p_act, f_dual, grad_norm, _, converged = _newton_log_phi(
-        w, np.log(d_act), min(1e-12, tol * 1e-4), 400
+        shifted.u[active] @ cls._basis, np.log(problem.d[active]), min(1e-12, tol * 1e-4), 400
     )
     p_full = np.zeros(problem.num_terms)
     p_full[active] = p_act

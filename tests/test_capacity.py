@@ -18,7 +18,9 @@ from capax import (
     cap_unitary_search,
     cap_via_scaling,
     capacity_ratio,
+    diag_problem,
     eigh,
+    enumerate_multiindices,
     expm_hermitian,
     haar_unitary,
     hermitian_part,
@@ -31,6 +33,7 @@ from capax import (
 import capax.capacity
 from capax.capacity import (
     ScalingState,
+    _diag_exponents,
     _herm_basis,
     _logdet_kernel,
     _logdet_oracle,
@@ -39,6 +42,18 @@ from capax.capacity import (
 )
 from capax.cpop import apply, conjugate_unitary, dual_apply
 from conftest import make_op
+
+
+@pytest.mark.parametrize("n,m", [(2, 2), (3, 2), (2, 3), (4, 3)])
+def test_diag_problem_exponents_are_read_only(n, m):
+    prob = diag_problem(make_op(n, m, 2, seed=31))
+    expected = np.array(enumerate_multiindices(n, m), dtype=float) - m / n
+    assert np.array_equal(prob.u, expected)
+    assert not prob.u.flags.writeable
+    assert _diag_exponents(n, m) is _diag_exponents(n, m)  # one table per (n, m)
+    assert not _diag_exponents(n, m).flags.writeable
+    with pytest.raises(ValueError):
+        _diag_exponents(n, m)[0, 0] = 1.0
 
 
 def test_cap0_identity_is_one():

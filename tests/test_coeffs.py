@@ -41,6 +41,27 @@ def _leibniz_by_permutations(t) -> np.ndarray:
     return vals.real
 
 
+@pytest.mark.parametrize("shape", [(2, 2, 3), (3, 4, 2)])
+def test_diag_images_match_einsum(shape):
+    """The batched matmul images T(E_ll) equal the einsum contraction."""
+    rng = np.random.default_rng(17)
+    a = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+    expected = np.einsum("kil,kjl->lij", a, a.conj())
+    images, n, m = _diag_images(a)
+    assert (n, m) == (shape[2], shape[1])
+    assert_allclose(images, expected, rtol=0, atol=1e-15 * np.abs(expected).max())
+
+
+def test_diag_images_of_matrix_rep_match_einsum():
+    t = make_op(3, 4, 2, seed=23)
+    a = t._kraus_stack
+    images, n, m = _diag_images(t.matrix_rep)
+    assert (n, m) == (3, 4)
+    expected = np.einsum("kil,kjl->lij", a, a.conj())
+    assert_allclose(images, expected, rtol=0, atol=1e-14 * np.abs(expected).max())
+    assert_allclose(_diag_images(t)[0], expected, rtol=0, atol=1e-15 * np.abs(expected).max())
+
+
 def test_enumerate_small_case():
     assert list(enumerate_multiindices(2, 2)) == [(0, 2), (1, 1), (2, 0)]
 

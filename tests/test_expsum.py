@@ -1,3 +1,6 @@
+import math
+import warnings
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
@@ -24,6 +27,7 @@ from capax import (
     problem_from_json,
     problem_to_json,
     psi_minimize,
+    psi_result_to_dict,
     semicontinuity_bound,
     trace_channel,
 )
@@ -161,6 +165,79 @@ def test_bound_form_hull_lp_matches_row_form(kind, tag, monkeypatch):
         assert got[0] is tag
         if kind == "boundary":
             assert got[1] == tuple(range(u.shape[1] + 1))
+
+
+def test_cached_boundary_entry_matches_cold_call():
+    """A cache hit on a boundary geometry returns the face that a cold
+    _analyze_hull finds, and cache_info() counts the miss and the hit."""
+    u = 1.37 * _hull_case("boundary", 101)
+    d = np.exp(np.random.default_rng(101).standard_normal(u.shape[0]))
+    cold_tag, cold_face = _analyze_hull(np.ascontiguousarray(u))
+    before = _cached_hull.cache_info()
+    first = classify_hull(ExpSumProblem(u, d))
+    after_miss = _cached_hull.cache_info()
+    again = classify_hull(ExpSumProblem(u, 2.0 * d))
+    after_hit = _cached_hull.cache_info()
+    assert after_miss.misses == before.misses + 1
+    assert after_hit.hits == after_miss.hits + 1 and after_hit.misses == after_miss.misses
+    assert first.tag is again.tag is cold_tag is HullTag.BOUNDARY_ZERO
+    assert first.active_face == again.active_face == cold_face  # all terms supported
+    assert first == again and repr(first) == repr(again)
+
+
+def _psi_by_svd(problem, tol=1e-10, max_iter=200):
+    """Reference Psi solve: the active terms from a fresh support scan and
+    the span basis from a fresh SVD, then the same damped Newton."""
+    cls = classify_hull(problem)
+    if cls.tag is HullTag.EXTERIOR_ZERO:
+        return 0.0, None
+    if cls.tag is HullTag.BOUNDARY_ZERO:
+        active = np.array(cls.active_face)
+    else:
+        active = np.flatnonzero(problem.d > 1e-14 * problem.d.max())
+    u_act = problem.u[active]
+    _, svals, vt = np.linalg.svd(u_act, full_matrices=False)
+    basis = vt[: int(np.sum(svals > 1e-12 * svals[0]))].T
+    z, _, f, _, _, converged = expsum._newton_log_phi(
+        u_act @ basis, np.log(problem.d[active]), tol, max_iter
+    )
+    assert converged
+    return math.exp(f), basis @ z
+
+
+@pytest.mark.parametrize("kind", ["interior", "boundary", "exterior"])
+def test_psi_matches_fresh_svd_reference(kind):
+    """psi_minimize, which takes the span basis from the hull cache, agrees
+    with a solve that recomputes it, within 1e-13."""
+    problems = {"interior": [TRACE], "boundary": [BOUNDARY], "exterior": []}[kind]
+    for seed in range(8):
+        u = _hull_case(kind, seed)
+        d = np.exp(np.random.default_rng(seed).standard_normal(u.shape[0]))
+        problems.append(ExpSumProblem(u, d))
+    for prob in problems:
+        res = psi_minimize(prob)
+        assert res.classification.tag.value.lower().startswith(kind)
+        value, y = _psi_by_svd(prob)
+        assert abs(res.value - value) <= 1e-13 * max(value, 1e-300)
+        if kind == "exterior":
+            assert res.value == 0.0 and res.minimizer is None
+            continue
+        assert np.abs(res.minimizer - y).max() <= 1e-13 * max(1.0, np.abs(y).max())
+        if kind == "boundary" and prob is not BOUNDARY:
+            assert res.classification.active_face == tuple(range(prob.dim + 1))
+
+
+def test_psi_stops_short_without_warning():
+    """A solve cut off by max_iter says so through converged, not a warning."""
+    u = _hull_case("interior", 4)
+    prob = ExpSumProblem(u, np.exp(np.random.default_rng(4).standard_normal(u.shape[0])))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        res = psi_minimize(prob, max_iter=1)
+    assert res.iterations == 1 and not res.converged
+    assert res.grad_residual > 1e-10
+    assert psi_result_to_dict(res)["converged"] is False
+    assert psi_minimize(prob).value <= res.value
 
 
 def test_empty_support_raises():
