@@ -28,7 +28,6 @@ from dataclasses import dataclass, field, replace
 from functools import lru_cache
 
 import numpy as np
-from scipy.optimize import minimize
 
 from .coeffs import _multiindex_table, d_leibniz
 from .cpop import CPOperator, apply
@@ -58,6 +57,13 @@ __all__ = [
     "report_to_dict",
     "report_to_json",
 ]
+
+
+def minimize(*args, **kwargs):
+    """scipy.optimize.minimize, imported on the first call."""
+    from scipy.optimize import minimize as scipy_minimize
+
+    return scipy_minimize(*args, **kwargs)
 
 
 class Method(str, enum.Enum):

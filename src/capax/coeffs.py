@@ -27,7 +27,6 @@ from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
 
 import numpy as np
-from scipy.linalg import solve_triangular
 
 from . import cpop
 from .errors import (
@@ -363,6 +362,8 @@ def d_interpolate(
 
     scale = max(float(np.abs(b).max(initial=0.0)), 1e-300)
     rhs = b / scale
+
+    from scipy.linalg import solve_triangular
 
     def solve(vec):
         return solve_triangular(r, q.T @ vec)

@@ -9,11 +9,17 @@ relative to the convex hull of the exponent vectors carrying positive weight:
   containing the origin and is approached but not attained;
 * outside: the infimum is zero along a separating direction.
 
-Hull questions are answered with small linear programs. Classification
-results are cached by support geometry because capacity searches evaluate
-thousands of problems sharing one exponent family; each cache entry also
-holds the orthonormal span basis of the active exponents, so a Psi solve on
-a known geometry needs neither an LP nor an SVD.
+A hull question first tries a certificate that needs no linear program:
+the Gibbs weights at the minimizer of the uniform log-sum-exp are a strictly
+positive barycentric representation of the origin whenever it is interior.
+Only the supports that certificate declines (boundary, exterior, or interior
+too close to the boundary) go to small linear programs, the one classifier
+of faces and separation. Classification results are cached by support
+geometry because capacity searches evaluate thousands of problems sharing
+one exponent family; each cache entry also holds the orthonormal span basis
+of the active exponents, so a Psi solve on a known geometry needs neither an
+LP nor an SVD. scipy.optimize is imported on the first LP, not with the
+module.
 """
 from __future__ import annotations
 
@@ -25,7 +31,6 @@ from collections import OrderedDict, namedtuple
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.optimize import linprog
 
 from .errors import (
     CapaxError,
@@ -64,6 +69,10 @@ __all__ = [
 _WEIGHT_TOL = 1e-7
 _MEMBER_ETA_REL = 1e-11
 _DEFAULT_SUPPORT_REL = 1e-14
+# Newton budget of the interior certificate: coefficient-grid interiors converge
+# in at most 7 steps, origins 1e-5 inside a face in about 15, and a decline
+# delays the LP by at most this many.
+_CERTIFICATE_MAX_ITER = 20
 
 _CacheInfo = namedtuple("_CacheInfo", "hits misses maxsize currsize")
 
@@ -168,6 +177,13 @@ def _default_support_eps(d: np.ndarray) -> float:
     return _DEFAULT_SUPPORT_REL * top
 
 
+def linprog(*args, **kwargs):
+    """scipy.optimize.linprog, imported on the first call."""
+    from scipy.optimize import linprog as scipy_linprog
+
+    return scipy_linprog(*args, **kwargs)
+
+
 def _feasible_alpha_lp(u_sup: np.ndarray, eta: float, objective: np.ndarray):
     """Maximize objective @ [alpha, s] over alpha >= s >= 0, sum(alpha) = 1,
     |sum_j alpha_j u_j|_inf <= eta. Returns (linprog status, [alpha, s] or None).
@@ -192,16 +208,47 @@ def _feasible_alpha_lp(u_sup: np.ndarray, eta: float, objective: np.ndarray):
     return res.status, np.append(res.x[:s_count] + res.x[s_count], res.x[s_count])
 
 
-def _analyze_hull(u_sup: np.ndarray) -> tuple[HullTag, tuple[int, ...] | None]:
+def _gibbs_certifies_interior(u_sup: np.ndarray, basis: np.ndarray, eta: float) -> bool:
+    """True when the Gibbs weights p at the minimizer of log sum_j exp(<y, u_j>)
+    prove the origin interior: min p >= 10 _WEIGHT_TOL, |u_sup^T p|_inf <= eta
+    and sum p = 1 make [p, min p] a feasible point of _feasible_alpha_lp whose
+    minimum weight clears _WEIGHT_TOL, so the LP would answer interior too.
+    Newton aims at eta / 2 so that rounding between span and original
+    coordinates cannot carry a converged p past eta."""
+    _, p, _, _, _, _ = _newton_log_phi(
+        u_sup @ basis, np.zeros(u_sup.shape[0]), 0.5 * eta, _CERTIFICATE_MAX_ITER
+    )
+    return bool(
+        p.min() >= 10.0 * _WEIGHT_TOL
+        and np.abs(u_sup.T @ p).max() <= eta
+        and abs(p.sum() - 1.0) <= 1e-12
+    )
+
+
+def _analyze_hull(
+    u_sup: np.ndarray, basis: np.ndarray | None = None
+) -> tuple[HullTag, tuple[int, ...] | None]:
     """Classify the origin against conv(rows of u_sup); face indices are
-    positions within u_sup."""
-    s_count = u_sup.shape[0]
+    positions within u_sup.
+
+    basis, the span basis of u_sup (computed here when not given), feeds the
+    interior certificate; supports it declines go to _analyze_hull_lp.
+    """
     scale = float(np.abs(u_sup).max(initial=0.0))
     if scale == 0.0:
         return HullTag.INTERIOR_ZERO, None
     eta = _MEMBER_ETA_REL * max(1.0, scale)
+    if basis is None:
+        basis = _span_basis(u_sup)
+    if _gibbs_certifies_interior(u_sup, basis, eta):
+        return HullTag.INTERIOR_ZERO, None
+    return _analyze_hull_lp(u_sup, eta)
 
-    # membership plus maximal minimum weight in one LP
+
+def _analyze_hull_lp(u_sup: np.ndarray, eta: float) -> tuple[HullTag, tuple[int, ...] | None]:
+    """The LP classifier: membership within eta and the maximal minimum
+    weight in one LP, then one LP per term to find the minimal face."""
+    s_count = u_sup.shape[0]
     obj = np.zeros(s_count + 1)
     obj[s_count] = 1.0
     status, x = _feasible_alpha_lp(u_sup, eta, obj)
@@ -245,11 +292,14 @@ _HullEntry = tuple[HullTag, tuple[int, ...] | None, np.ndarray | None]
 
 def _hull_entry(u_sup: np.ndarray) -> _HullEntry:
     """_analyze_hull's answer plus the read-only span basis of the active
-    rows (all of u_sup inside, the face on the boundary, none outside)."""
-    tag, face = _analyze_hull(u_sup)
+    rows (all of u_sup inside, the face on the boundary, none outside); the
+    basis of u_sup serves both the interior certificate and the entry."""
+    basis = _span_basis(u_sup)
+    tag, face = _analyze_hull(u_sup, basis)
     if tag is HullTag.EXTERIOR_ZERO:
         return tag, face, None
-    basis = _span_basis(u_sup if face is None else u_sup[list(face)])
+    if face is not None:
+        basis = _span_basis(u_sup[list(face)])
     basis.setflags(write=False)
     return tag, face, basis
 

@@ -20,6 +20,7 @@ from capax import (
     classify_hull,
     diag_problem,
     entropy_dual,
+    enumerate_multiindices,
     grad_hess,
     kl_divergence,
     near_minimizer,
@@ -158,13 +159,91 @@ def _hull_case(kind, seed):
 def test_bound_form_hull_lp_matches_row_form(kind, tag, monkeypatch):
     for seed in range(12):
         u = _hull_case(kind, seed)
-        got = _analyze_hull(u)
+        got = _lp_only(u)
         with monkeypatch.context() as patch:
             patch.setattr(expsum, "_feasible_alpha_lp", _row_form_alpha_lp)
-            assert _analyze_hull(u) == got
+            assert _lp_only(u) == got
         assert got[0] is tag
         if kind == "boundary":
             assert got[1] == tuple(range(u.shape[1] + 1))
+
+
+def _lp_only(u):
+    """The LP stage of _analyze_hull on its own, skipping the certificate."""
+    return expsum._analyze_hull_lp(u, expsum._MEMBER_ETA_REL * max(1.0, float(np.abs(u).max())))
+
+
+def _certifies(u):
+    eta = expsum._MEMBER_ETA_REL * max(1.0, float(np.abs(u).max()))
+    return expsum._gibbs_certifies_interior(u, expsum._span_basis(u), eta)
+
+
+@pytest.mark.parametrize("kind", ["interior", "boundary", "exterior"])
+def test_certificate_matches_lp_only_classifier(kind):
+    """The Gibbs certificate accepts every seeded interior support, declines
+    every boundary and exterior one, and _analyze_hull gives the LP's tag
+    and face either way."""
+    for seed in range(12):
+        u = _hull_case(kind, seed)
+        assert _certifies(u) is (kind == "interior")
+        assert _analyze_hull(u) == _lp_only(u)
+
+
+def test_certificate_declines_near_boundary_interior():
+    """An origin 1e-5 inside a face is interior to the LP, but the Gibbs
+    weight on the far side falls below 10 _WEIGHT_TOL: the certificate
+    declines and the LP decides."""
+    for seed in range(6):
+        u = _hull_case("boundary", seed)
+        u[:, 0] -= 1e-5
+        assert not _certifies(u)
+        assert _analyze_hull(u) == _lp_only(u) == (HullTag.INTERIOR_ZERO, None)
+
+
+def _diag_support(n, m, k):
+    """The diagonal exponents j - m/n that can carry weight (every j_l <= K)."""
+    index = np.array(enumerate_multiindices(n, m), dtype=float)
+    return index[index.max(axis=1) <= k] - m / n
+
+
+@pytest.mark.parametrize(
+    "n,m,k", [(2, 2, 2), (3, 3, 3), (4, 4, 4), (5, 5, 5), (6, 6, 3), (3, 4, 2), (4, 3, 3)]
+)
+def test_certificate_matches_lp_on_coefficient_supports(n, m, k):
+    """Moment targets inside the diagonal support of each coefficient shape
+    are certified interior, as the LP finds them."""
+    u = _diag_support(n, m, k)
+    rng = np.random.default_rng(n * 100 + m * 10 + k)
+    for theta in rng.dirichlet(np.ones(u.shape[0]), size=3) @ u:
+        shifted = np.ascontiguousarray(u - theta)
+        assert _certifies(shifted)
+        assert _analyze_hull(shifted) == _lp_only(shifted) == (HullTag.INTERIOR_ZERO, None)
+
+
+@pytest.mark.parametrize("n,m,k", [(2, 2, 2), (3, 3, 3), (3, 4, 2), (4, 3, 3)])
+def test_certificate_declines_support_vertex(n, m, k):
+    """A moment target on the lexicographically first support point, a
+    vertex, is declined and the LP reports that vertex as the face."""
+    u = _diag_support(n, m, k)
+    vertex = np.ascontiguousarray(u - u[0])
+    assert not _certifies(vertex)
+    assert _analyze_hull(vertex) == _lp_only(vertex) == (HullTag.BOUNDARY_ZERO, (0,))
+
+
+def test_interior_classification_needs_no_lp(monkeypatch):
+    """A cold interior classification and Psi solve succeed with the LP
+    entry point raising."""
+
+    def no_lp(*args, **kwargs):
+        raise AssertionError("linprog called for an interior support")
+
+    monkeypatch.setattr(expsum, "linprog", no_lp)
+    monkeypatch.setattr(expsum, "_cached_hull", expsum._HullCache(maxsize=8))
+    u = _hull_case("interior", 7)
+    prob = ExpSumProblem(u, np.exp(np.random.default_rng(7).standard_normal(u.shape[0])))
+    assert classify_hull(prob).tag is HullTag.INTERIOR_ZERO
+    assert psi_minimize(prob).converged
+    assert expsum._cached_hull.cache_info().misses == 1
 
 
 def test_cached_boundary_entry_matches_cold_call():
