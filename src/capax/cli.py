@@ -14,6 +14,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -98,22 +99,19 @@ def _cmd_cap(args: argparse.Namespace, cfg: dict) -> dict:
     method = _pick(args, cfg, "method", "direct")
     tol = float(_pick(args, cfg, "tol", 1e-9))
     seed = int(_pick(args, cfg, "seed", 0))
-    restarts = _pick(args, cfg, "restarts", None)
+    restarts = _pick(args, cfg, "restarts", None)  # None: the route's own default
     if method == "direct":
         check_psi = bool(_pick(args, cfg, "check_psi", False))
         check_scaling = bool(_pick(args, cfg, "check_scaling", False))
         config = CapacityConfig(
-            tol=tol,
-            seed=seed,
-            restarts_direct=int(restarts) if restarts is not None else 4,
-            check_psi=check_psi,
-            check_scaling=check_scaling,
+            tol=tol, seed=seed, check_psi=check_psi, check_scaling=check_scaling
         )
+        if restarts is not None:
+            config = replace(config, restarts_direct=int(restarts))
         report = cap(t, config)
     elif method == "psi":
-        report = cap_unitary_search(
-            t, tol=tol, restarts=int(restarts) if restarts is not None else 8, seed=seed
-        )
+        given = {} if restarts is None else {"restarts": int(restarts)}
+        report = cap_unitary_search(t, tol=tol, seed=seed, **given)
     elif method == "scaling":
         max_steps = int(_pick(args, cfg, "max_steps", 2000))
         residual_tol = float(_pick(args, cfg, "residual_tol", 1e-8))

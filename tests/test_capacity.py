@@ -1,4 +1,6 @@
 import json
+import math
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -25,6 +27,7 @@ from capax import (
     haar_unitary,
     hermitian_part,
     identity_channel,
+    random_cp,
     report_to_dict,
     report_to_json,
     scaling_step,
@@ -150,19 +153,135 @@ def test_herm_basis_is_orthonormal_and_traceless():
 
 
 def test_direct_flags_no_convergence(monkeypatch):
+    """NoConvergence comes from the final gradient test: stalled here by a
+    Newton oracle whose gradient norm cannot fall below 1e-6."""
     for t in (make_op(2, 2, 2, seed=1), make_op(2, 3, 2, seed=2), make_op(3, 3, 2, seed=7)):
         assert cap_direct_pd(t).flags == ()
-    real_minimize = capax.capacity.minimize
+    real_terms = capax.capacity._geodesic_terms
 
-    def stalled(*args, **kwargs):
-        res = real_minimize(*args, **kwargs)
-        res.success = False
-        return res
+    def stalled(*args):
+        value, err, grad, hess = real_terms(*args)
+        return value, err, grad * max(1.0, 1e-6 / max(np.linalg.norm(grad), 1e-300)), hess
 
-    monkeypatch.setattr(capax.capacity, "minimize", stalled)
+    monkeypatch.setattr(capax.capacity, "_geodesic_terms", stalled)
     report = cap_direct_pd(make_op(2, 2, 2, seed=1))
     assert report.flags == ("NoConvergence",)
     assert report.value > 0.0
+
+
+def _boundary_kraus(eps: float = 0.0) -> CPOperator:
+    """E_ij over the support of [[1, 1], [0, 1]], plus sqrt(eps) E_21 when
+    eps > 0. T(X) = diag(x_00 + x_11, x_11 + eps x_00), so on det X = 1 the
+    capacity is 1 + sqrt(eps), attained only when eps > 0."""
+    units = []
+    for i, j, weight in ((0, 0, 1.0), (0, 1, 1.0), (1, 1, 1.0), (1, 0, math.sqrt(eps))):
+        if weight > 0:
+            e = np.zeros((2, 2), dtype=complex)
+            e[i, j] = weight
+            units.append(e)
+    return CPOperator(tuple(units))
+
+
+def test_direct_newton_refuses_a_rising_value(monkeypatch):
+    """A Newton step that lowers the gradient but raises the value by more
+    than rounding is refused: here every evaluation reads 1e-9 higher than
+    the one before, so the first step is refused and the value is the one
+    at BFGS's stopping point."""
+    real_terms = capax.capacity._geodesic_terms
+    values = []
+
+    def rising(*args):
+        value, err, grad, hess = real_terms(*args)
+        values.append(value)
+        return value + 1e-9 * len(values), err, grad, hess
+
+    monkeypatch.setattr(capax.capacity, "_geodesic_terms", rising)
+    report = cap_direct_pd(make_op(2, 2, 2, seed=1))
+    assert len(values) == 2
+    assert report.value == math.exp(values[0] + 1e-9)
+
+
+def test_direct_boundary_base_keeps_value_and_flag():
+    """cap = 1 is approached as X runs off to infinity: the Newton steps
+    keep their length to the end, so the report is flagged, and the value
+    stays as accurate as the descent can make it."""
+    report = cap_direct_pd(_boundary_kraus())
+    assert abs(report.value - 1.0) <= 1e-10
+    assert report.flags == ("InfimumNotAttained",)
+    assert abs(capacity_ratio(_boundary_kraus(), report.witness["x"]) - report.value) <= 1e-12
+
+
+@pytest.mark.parametrize("eps", [1e-4, 1e-6, 1e-8])
+def test_direct_sqrt_eps_family(eps):
+    """Near the boundary base the minimizer is attained but far out; cap - 1
+    is sqrt(eps) exactly."""
+    report = cap_direct_pd(_boundary_kraus(eps))
+    assert abs((report.value - 1.0) / math.sqrt(eps) - 1.0) <= 1e-9
+    assert report.flags == ()
+
+
+def test_direct_single_kraus_closed_form():
+    """K = 1 and n = m: det T(X) = |det A|^2 det X, so every X is a minimizer
+    and the objective is flat; cap = |det A|^(2/n)."""
+    t = make_op(3, 3, 1, seed=41)
+    report = cap_direct_pd(t)
+    exact = abs(np.linalg.det(t.kraus[0])) ** (2.0 / 3.0)
+    assert abs(report.value - exact) <= 1e-13 * exact
+    assert report.flags == ()
+
+
+# Values of the earlier four-restart BFGS route (gradient test 1e-8, no
+# Newton steps) on the same operators.
+@pytest.mark.parametrize(
+    "n,m,k,seed,scale,expected",
+    [
+        (2, 3, 2, 42, 1.0, 0.4300331799551057),
+        (3, 2, 2, 43, 1.0, 0.26446980459590597),
+        (3, 4, 3, 44, 1.0, 0.6557307355068446),
+        (2, 2, 2, 45, 1e8, 3407376878724906.5),
+        (2, 3, 2, 42, 1e8, 4300331799551062.0),
+        (2, 2, 2, 45, 1e-8, 3.407376878724907e-17),
+        (2, 3, 2, 42, 1e-8, 4.300331799551032e-17),
+    ],
+)
+def test_direct_edge_inputs_match_reference(n, m, k, seed, scale, expected):
+    t = CPOperator(tuple(scale * a for a in make_op(n, m, k, seed=seed).kraus))
+    report = cap_direct_pd(t)
+    assert abs(report.value - expected) <= 1e-13 * expected
+    assert report.flags == ()
+    assert report.residual <= 1e-8
+
+
+def _criterion_06_corpus():
+    for i in range(30):
+        rng = np.random.default_rng(7000 + i)
+        n = 2 if i % 2 == 0 else 3
+        k = int(rng.integers(2, 4))
+        yield random_cp(n, n, k, scale=1.0 / np.sqrt(n * k), rng=rng)
+
+
+def test_direct_criterion_06_corpus_converges_in_few_evaluations(monkeypatch):
+    """Every report meets the gradient test unflagged, and the mean number of
+    evaluations per solve (BFGS oracle calls plus Newton-chart evaluations)
+    stays under half of the 78.5 oracle calls that four BFGS restarts at
+    gradient test 1e-8 took on this corpus."""
+    calls = Counter()
+
+    def counting(name, fn):
+        def wrapper(*args):
+            calls[name] += 1
+            return fn(*args)
+
+        return wrapper
+
+    for name in ("_logdet_oracle", "_geodesic_terms"):
+        monkeypatch.setattr(capax.capacity, name, counting(name, getattr(capax.capacity, name)))
+    for t in _criterion_06_corpus():
+        report = cap_direct_pd(t)
+        assert report.flags == ()
+        assert report.residual <= 1e-8
+    assert calls["_geodesic_terms"] >= 30
+    assert sum(calls.values()) / 30 < 78.5 / 2
 
 
 def test_scaling_identity_converges_immediately():

@@ -3,7 +3,16 @@ import json
 import numpy as np
 import pytest
 
-from capax import problem_to_json, to_json, trace_channel, identity_channel, diag_problem
+from capax import (
+    cap,
+    cap_unitary_search,
+    diag_problem,
+    identity_channel,
+    problem_to_json,
+    report_to_dict,
+    to_json,
+    trace_channel,
+)
 from capax.cli import main
 from conftest import make_op
 
@@ -41,6 +50,19 @@ def test_cap_identity(capsys, op_file):
     payload = json.loads(out)
     assert abs(payload["value"] - 1.0) <= 1e-8
     assert payload["method"] == "direct_pd"
+
+
+def test_cap_without_restarts_uses_library_defaults(capsys, tmp_path):
+    """Without --restarts each route runs with the library's own default."""
+    t = make_op(2, 2, 2, seed=3)
+    path = tmp_path / "op.json"
+    path.write_text(to_json(t))
+    code, out, _ = _run(capsys, ["cap", str(path)])
+    assert code == 0
+    assert out == json.dumps(report_to_dict(cap(t)), sort_keys=True) + "\n"
+    code, out, _ = _run(capsys, ["cap", str(path), "--method", "psi"])
+    assert code == 0
+    assert out == json.dumps(report_to_dict(cap_unitary_search(t)), sort_keys=True) + "\n"
 
 
 def test_cap_method_selection(capsys, trace_file):
