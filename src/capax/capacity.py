@@ -3,21 +3,21 @@
 cap(T) is the infimum of det(T(X))^(1/m) / det(X)^(1/n) over positive
 definite X. Three routes are implemented:
 
-* ``cap_direct_pd``: one BFGS descent over unit-determinant positive
-  matrices X = exp(H) with H traceless Hermitian, then Newton steps in the
-  geodesic chart X^(1/2) exp(E) X^(1/2) with the exact Hessian; the
-  gradient left after the Newton steps decides NoConvergence;
+* ``cap_direct_pd``: an exact common-kernel test (cap = 0), then
+  regularized Newton descent from X = I in the geodesic chart
+  X^(1/2) exp(E) X^(1/2), with the exact Hessian and an Armijo line
+  search; the final gradient decides NoConvergence;
 * ``cap_unitary_search``: cap(T) = inf_U cap0(T_U) where cap0 restricts X
   to diagonal matrices and reduces to a weighted exponential sum, so the
   outer search runs over unitaries only;
 * ``cap_via_scaling``: alternate row and column marginal normalization
   (square case only), accumulating determinant corrections.
 
-Both descent routes evaluate log det T(X) and its gradient
-G = T*(T(X)^-1) through one kernel, ``_logdet_kernel``, on the raw Kraus
-stack, and share one BFGS restart loop, ``_bfgs_restarts``. The direct
-route's Newton steps take value, gradient and Hessian from
-``_geodesic_terms`` at the rebased stack A R, where X = R R*. The scaling
+The direct route's Newton steps take value, gradient and Hessian from
+``_geodesic_terms`` at the rebased stack A R, where X = R R*. The unitary
+route evaluates log det T(X) and its gradient G = T*(T(X)^-1) through
+``_logdet_kernel`` on the raw Kraus stack, in BFGS restarts
+(``_bfgs_restarts``), the only use of scipy.optimize here. The scaling
 route also iterates on the raw stack, carrying both marginals forward.
 
 All routes return a CapacityReport carrying the value, a witness when one
@@ -237,42 +237,24 @@ def _logdet_kernel(a: np.ndarray, x: np.ndarray) -> tuple[float, np.ndarray]:
     return float(np.sum(np.log(wt))), hermitian_part(g)
 
 
-def _logdet_oracle(a: np.ndarray, h: np.ndarray) -> tuple[float, np.ndarray]:
-    """Value f(H) = (1/m) log det T(exp H) and its exact gradient on the stack a.
-
-    The gradient is the Hermitian matrix M with d/ds f(H + sE) = Re tr(M E)
-    for every Hermitian E. With G = T*(T(X)^-1) at X = exp(H) and
-    H = U diag(w) U*, the Daleckii-Krein formula gives
-    M = (1/m) U (L o U* G U) U*, where L holds the divided differences of
-    exp at w and o is the entrywise product. Raises _Degenerate when T(X)
-    is singular.
-    """
-    m = a.shape[1]
-    # expm_hermitian inlined: the same eigh supplies the divided differences.
-    w, u = eigh(h)
-    logdet, g = _logdet_kernel(a, hermitian_part((u * np.exp(w)) @ u.conj().T))
-    inner = _exp_divided_differences(w) * (u.conj().T @ g @ u)
-    return logdet / m, (u @ inner @ u.conj().T) / m
-
-
 class _NotInterior(Exception):
     """Internal signal: no gradient here; args are the value and coordinates."""
 
 
-def _bfgs_restarts(oracle, n: int, starts: list, options: dict) -> tuple[tuple | None, int, int]:
+def _bfgs_restarts(oracle, n: int, starts: list, options: dict) -> tuple[tuple | None, int]:
     """BFGS from each start over traceless Hermitian H = sum_i v_i B_i, with
     B = _herm_basis(n); the lowest final value wins.
 
     oracle(H) returns the value and the Hermitian gradient M, with
     d/ds f(H + sE) = Re tr(M E), or None for M where there is no gradient: a
     restart that reaches such a point stops there, counted as converged.
-    Returns ((value, H, gradient norm, converged) of the winner, or None
-    when the oracle raised _Degenerate; BFGS iterations; oracle calls).
+    Returns ((value, H, converged) of the winner, or None when the oracle
+    raised _Degenerate; oracle calls).
     """
     dim = n * n - 1
     basis = _herm_basis(n)
     flat_basis = basis.reshape(dim, n * n).conj()
-    evals = nit = 0
+    evals = 0
 
     def objective(v: np.ndarray) -> tuple[float, np.ndarray]:
         nonlocal evals
@@ -282,21 +264,20 @@ def _bfgs_restarts(oracle, n: int, starts: list, options: dict) -> tuple[tuple |
             raise _NotInterior(val, v.copy())
         return val, (flat_basis @ grad.reshape(n * n)).real
 
-    best = (math.inf, np.zeros(dim), math.inf, True)
+    best = (math.inf, np.zeros(dim), True)
     try:
         for v0 in starts if dim else ():  # n = 1: nothing to search
             try:
                 res = minimize(objective, v0, jac=True, method="BFGS", options=options)
-                nit += int(res.nit)
-                found = (float(res.fun), res.x, float(np.linalg.norm(res.jac)), bool(res.success))
+                found = (float(res.fun), res.x, bool(res.success))
             except _NotInterior as stop:
-                found = (*stop.args, math.inf, True)
+                found = (*stop.args, True)
             if found[0] < best[0]:
                 best = found
     except _Degenerate:
-        return None, nit, evals
-    f, v, grad_norm, ok = best
-    return (f, np.tensordot(v, basis, axes=1), grad_norm, ok), nit, evals
+        return None, evals
+    f, v, ok = best
+    return (f, np.tensordot(v, basis, axes=1), ok), evals
 
 
 def _geodesic_terms(
@@ -313,16 +294,20 @@ def _geodesic_terms(
     P_i = Q^(1/2) T_b(B_i) Q^(1/2) and T_b*(Q). The value's rounding error
     is taken as eps sum_i (w_max / w_i + |log w_i|) / m over the eigenvalues
     w of T_b(I): each w_i off by eps w_max, and each logarithm off by eps of
-    itself. Raises _Degenerate when T_b(I) is singular.
+    itself. Raises _Degenerate when T_b(I) is singular or not finite, so
+    that its eigenvalues are never asked of a non-finite matrix.
     """
     m = b.shape[1]
-    wt, vt = eigh((b @ b.conj().transpose(0, 2, 1)).sum(axis=0))
-    if wt.min(initial=1.0) <= 0:
+    gram = (b @ b.conj().transpose(0, 2, 1)).sum(axis=0)
+    if not np.isfinite(gram).all():
+        raise _Degenerate
+    wt, vt = eigh(gram)
+    if wt[0] <= 0:
         raise _Degenerate
     c = (vt.conj().T / np.sqrt(wt)[:, None]) @ b  # Q^(1/2) b up to a unitary
     ch = c.conj().transpose(0, 2, 1)
     p = np.einsum("kab,ibc,kcd->iad", c, basis, ch)
-    flat = p.reshape(len(basis), -1)
+    flat = p.reshape(len(basis), m * m)  # n = 1: no directions, an empty chart
     first = np.einsum("ab,ibc,jca->ij", (ch @ c).sum(axis=0), basis, basis).real
     hess = (first - (flat @ flat.conj().T).real) / m
     logs = np.log(wt)
@@ -331,41 +316,60 @@ def _geodesic_terms(
 
 
 # The geodesic-chart Hessian is scale free with entries of order one: below
-# this, an eigenvalue is rounding, as along the flat directions of K = 1.
+# this, a shifted curvature is rounding, as along the flat directions of K = 1.
 _CURVATURE_FLOOR = 1e-12
-# An attained minimum took at most 4 steps from BFGS's stopping point on the
-# test corpora; an unattained infimum shrinks the gradient by about e per step.
-_NEWTON_MAX_STEPS = 30
-# Newton steps that stay this long (geodesic length) while the gradient
-# falls follow a minimizing sequence out to infinity.
+# The boundary base of the sqrt(eps) family takes 48 steps; an unattained
+# infimum shrinks the gradient by about e per step.
+_NEWTON_MAX_STEPS = 100
+# Halvings of a refused step before the line search gives out.
+_MAX_BACKTRACKS = 30
+# Once the gradient norm is this small, a step that does not lower it ends
+# the descent.
+_STALL_GRAD = 1e-6
+# Steps that stay this long (geodesic length) while the gradient falls
+# follow a minimizing sequence out to infinity.
 _UNATTAINED_STEP = 0.1
 
 
-def _newton_polish(
-    a: np.ndarray, r: np.ndarray, f_floor: float
+def _newton_descent(
+    a: np.ndarray, r: np.ndarray, terms: tuple, basis: np.ndarray, f_floor: float
 ) -> tuple[float, np.ndarray, float, int, float]:
-    """Newton steps from X = R R* on the stack a, each taken in the geodesic
-    chart at the current point: R moves to R exp(S/2) for the Newton step S.
+    """Regularized Newton descent from X = R R* on the stack a, where terms
+    is _geodesic_terms(a R, basis), each step taken in the geodesic chart at
+    the current point: R moves to R exp(S/2).
 
-    A step is kept while it lowers the gradient norm and raises the value by
-    no more than twice the rounding of both values; curvatures below
-    _CURVATURE_FLOOR are left out of the solve. Returns the value, R, the
-    gradient norm, the number of steps kept and the length of the last one.
-    Raises _Degenerate when the value falls below f_floor.
+    The step is S = -(H+ + |g| I)^-1 g, with H+ the Hessian whose negative
+    curvatures are clipped to 0 (Mishchenko, "Regularized Newton method with
+    global O(1/k^2) convergence", 2021); an eigen-direction whose shifted
+    curvature is at most _CURVATURE_FLOOR is left out, so a zero gradient
+    gives a zero step, not 0/0. An Armijo line search halves S until the
+    value falls by 1e-4 of the predicted decrease, less twice the rounding
+    of both values; a non-finite trial value is refused. The descent ends
+    when the line search gives out, or when a step no longer lowers a
+    gradient norm of at most _STALL_GRAD. Returns the value, R, the gradient
+    norm, the number of steps kept and the length of the last one. Raises
+    _Degenerate when the value falls below f_floor.
     """
-    basis = _herm_basis(len(r))
-    f, err, grad, hess = _geodesic_terms(a @ r, basis)
+    f, err, grad, hess = terms
     grad_norm, steps, last = float(np.linalg.norm(grad)), 0, 0.0
     while steps < _NEWTON_MAX_STEPS:
         w, v = np.linalg.eigh(hess)
-        keep = w > _CURVATURE_FLOOR
-        step = -v[:, keep] @ ((v[:, keep].T @ grad) / w[keep])
-        r_next = r @ expm_hermitian(np.tensordot(0.5 * step, basis, axes=1))
-        f_next, err_next, grad_next, hess_next = _geodesic_terms(a @ r_next, basis)
-        if f_next < f_floor:
-            raise _Degenerate
+        shifted = np.maximum(w, 0.0) + grad_norm
+        keep = shifted > _CURVATURE_FLOOR
+        step = -v[:, keep] @ ((v[:, keep].T @ grad) / shifted[keep])
+        decrease = 1e-4 * float(grad @ step)
+        for _ in range(_MAX_BACKTRACKS):
+            r_next = r @ expm_hermitian(np.tensordot(0.5 * step, basis, axes=1))
+            f_next, err_next, grad_next, hess_next = _geodesic_terms(a @ r_next, basis)
+            if f_next < f_floor:
+                raise _Degenerate
+            if f_next <= f + decrease + 2 * (err + err_next):
+                break
+            step, decrease = 0.5 * step, 0.5 * decrease
+        else:
+            break
         norm_next = float(np.linalg.norm(grad_next))
-        if norm_next >= grad_norm or f_next > f + 2 * (err + err_next):
+        if grad_norm <= _STALL_GRAD and not norm_next < grad_norm:
             break
         r, f, err, grad, hess = r_next, f_next, err_next, grad_next, hess_next
         grad_norm = norm_next
@@ -380,54 +384,48 @@ def cap_direct_pd(
     seed: int = 0,
     degenerate_drop: float = 40.0,
 ) -> CapacityReport:
-    """Minimize the capacity ratio over X = exp(H), H traceless Hermitian.
+    """Minimize the capacity ratio over positive definite X by regularized
+    Newton descent in the geodesic chart (_newton_descent).
 
-    det(X) = 1 on this chart, so the objective is (1/m) log det(T(exp H)).
-    One BFGS descent from H = 0 (plus restarts - 1 seeded random starts)
-    with the exact gradient of _logdet_oracle stops at a loose gradient
-    test; Newton steps with the exact Hessian in the geodesic chart then
-    polish the winner (_newton_polish). Degeneracy (capacity zero) is
-    declared when the objective falls more than degenerate_drop below its
-    value at X = I, or T(X) loses rank. The residual is the final geodesic
-    gradient norm; NoConvergence marks a residual above max(tol, 1e-8), and
-    InfimumNotAttained a run whose Newton steps kept a length above
-    _UNATTAINED_STEP to the end, the sign of an infimum approached but not
-    attained. The iterations count BFGS iterations plus Newton steps.
+    cap(T) = 0 is decided first and exactly when the Kraus operators share
+    a kernel vector: one SVD of the stacked (K m, n) Kraus matrix, with a
+    relative rank threshold. Otherwise the descent runs from X = I (plus
+    restarts - 1 seeded random starts X = exp(H), H traceless Hermitian) and
+    the lowest value wins. Degeneracy (capacity zero) is also declared when
+    the objective falls more than degenerate_drop below its value at X = I,
+    as it does on rank-decreasing operators. The residual is the final
+    geodesic gradient norm; NoConvergence marks a residual above
+    max(tol, 1e-8), and InfimumNotAttained a run whose steps kept a length
+    above _UNATTAINED_STEP to the end, the sign of an infimum approached but
+    not attained. The iterations count Newton steps over all starts.
     """
-    n, m = t.n, t.m
-    a = t._kraus_stack
-    try:
-        f_ref = _logdet_kernel(a, np.eye(n, dtype=complex))[0] / m
-    except _Degenerate:
-        return CapacityReport(0.0, Method.DIRECT_PD, 0.0, 0, None, ("Degenerate",))
-    if n == 1:
-        x = np.eye(1, dtype=complex)
-        return CapacityReport(float(np.exp(f_ref)), Method.DIRECT_PD, 0.0, 0, {"x": x}, ())
-
-    def oracle(h: np.ndarray) -> tuple[float, np.ndarray]:
-        val, grad = _logdet_oracle(a, h)
-        if val < f_ref - degenerate_drop:
-            raise _Degenerate
-        return val, grad
-
-    dim, rng = n * n - 1, np.random.default_rng(seed)
-    starts = [np.zeros(dim)] + [0.3 * rng.standard_normal(dim) for _ in range(restarts - 1)]
-    best, nit, _ = _bfgs_restarts(oracle, n, starts, {"gtol": max(tol, 1e-6), "maxiter": 300})
-    degenerate = CapacityReport(0.0, Method.DIRECT_PD, 0.0, nit, None, ("Degenerate",))
-    if best is None:
+    n, a = t.n, t._kraus_stack
+    degenerate = CapacityReport(0.0, Method.DIRECT_PD, 0.0, 0, None, ("Degenerate",))
+    if np.linalg.matrix_rank(a.reshape(-1, n)) < n:
         return degenerate
+    basis, rng = _herm_basis(n), np.random.default_rng(seed)
+    r, best, iterations = np.eye(n, dtype=complex), None, 0
     try:
-        f, r, grad_norm, steps, last = _newton_polish(
-            a, expm_hermitian(0.5 * best[1]), f_ref - degenerate_drop
-        )
+        start = _geodesic_terms(a, basis)  # X = I sets the floor and is the first start
+        f_floor = start[0] - degenerate_drop
+        for i in range(max(restarts, 1)):  # restarts <= 1: the start at X = I only
+            if i:
+                v = 0.3 * rng.standard_normal(n * n - 1)
+                r = expm_hermitian(np.tensordot(0.5 * v, basis, axes=1))
+                start = _geodesic_terms(a @ r, basis)
+            found = _newton_descent(a, r, start, basis, f_floor)
+            iterations += found[3]
+            if best is None or found[0] < best[0]:
+                best = found
     except _Degenerate:
-        return degenerate
+        return replace(degenerate, iterations=iterations)
+    f, r, grad_norm, _, last = best
     flags = ("NoConvergence",) if grad_norm > max(tol, 1e-8) else ()
     if last > _UNATTAINED_STEP:
         flags = ("InfimumNotAttained",) + flags
     x = hermitian_part(r @ r.conj().T)
     return CapacityReport(
-        float(np.exp(f)), Method.DIRECT_PD, grad_norm, nit + steps, {"x": x}, flags
+        float(np.exp(f)), Method.DIRECT_PD, grad_norm, iterations, {"x": x}, flags
     )
 
 
@@ -496,13 +494,13 @@ def cap_unitary_search(
     options = {"gtol": math.sqrt(max(tol, 1e-14)), "maxiter": 200}
     rng = np.random.default_rng(seed)
     starts = [np.zeros(dim)] + [0.8 * rng.standard_normal(dim) for _ in range(restarts - 1)]
-    best, _, evals = _bfgs_restarts(
+    best, evals = _bfgs_restarts(
         lambda h: _unitary_oracle(a, h, _SEARCH_TOL), t.n, starts, options
     )
     degenerate = CapacityReport(0.0, Method.PSI_UNITARY, 0.0, evals, None, ("Degenerate",))
     if best is None:
         return degenerate
-    _, h, _, converged = best
+    _, h, converged = best
     u_best = _unitary_expand(h)[0]
     try:
         final = _diag_psi(a @ u_best, psi_tol)

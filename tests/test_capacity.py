@@ -8,6 +8,7 @@ from numpy.testing import assert_allclose
 
 from capax import (
     CapacityConfig,
+    CompactFamily,
     CPOperator,
     Method,
     NotSupported,
@@ -27,7 +28,9 @@ from capax import (
     haar_unitary,
     hermitian_part,
     identity_channel,
+    perturb,
     random_cp,
+    random_direction,
     report_to_dict,
     report_to_json,
     scaling_step,
@@ -37,9 +40,11 @@ import capax.capacity
 from capax.capacity import (
     ScalingState,
     _diag_exponents,
+    _MAX_BACKTRACKS,
+    _STALL_GRAD,
+    _geodesic_terms,
     _herm_basis,
     _logdet_kernel,
-    _logdet_oracle,
     _marginals,
     _unitary_oracle,
 )
@@ -106,30 +111,45 @@ def test_direct_witness_reproduces_value():
 
 @pytest.mark.parametrize("n,m,k", [(2, 2, 2), (2, 3, 2), (3, 2, 2), (3, 3, 3), (3, 4, 2), (4, 3, 3)])
 def test_logdet_oracle_gradient_matches_central_differences(n, m, k):
+    """The direct route's log-det oracle, _geodesic_terms: its gradient and
+    Hessian at E = 0 match central differences of f(E) = (1/m) log det
+    T_b(exp E) and of its gradient, at X = I and at four points X = R R*."""
     t = make_op(n, m, k, seed=100 * n + 10 * m + k)
     a = t._kraus_stack
     basis = _herm_basis(n)
     rng = np.random.default_rng(n * m * k)
     step = 1e-6
-    # H = 0 repeats every eigenvalue, so the Taylor branch of the divided
-    # differences carries the whole gradient there.
+
+    def terms(b, e):  # the chart at b, moved to exp(e): T_b(exp e) = T_b'(I)
+        return _geodesic_terms(b @ expm_hermitian(0.5 * e), basis)
+
     points = [np.zeros(n * n - 1)] + [0.5 * rng.standard_normal(n * n - 1) for _ in range(4)]
     for v in points:
-        h = np.tensordot(v, basis, axes=1)
-        value, grad = _logdet_oracle(a, h)
-        assert_allclose(grad, grad.conj().T, atol=1e-14)
-        exact = np.array([np.vdot(b, grad).real for b in basis])
+        r = expm_hermitian(0.5 * np.tensordot(v, basis, axes=1))
+        b = a @ r
+        value, err, grad, hess = _geodesic_terms(b, basis)
+        assert 0.0 < err <= 1e-13 * max(abs(value), 1.0)
+        assert_allclose(hess, hess.T, atol=1e-14)
         central = np.array(
-            [
-                (_logdet_oracle(a, h + step * b)[0] - _logdet_oracle(a, h - step * b)[0])
-                / (2 * step)
-                for b in basis
-            ]
+            [(terms(b, step * e)[0] - terms(b, -step * e)[0]) / (2 * step) for e in basis]
         )
-        assert np.linalg.norm(exact - central) <= 1e-6 * np.linalg.norm(exact)
-        # det exp(H) = 1 for traceless H, so the value is the log capacity ratio
-        ratio = capacity_ratio(t, expm_hermitian(h))
+        assert np.linalg.norm(grad - central) <= 1e-6 * np.linalg.norm(grad)
+        # The geodesic chart and exp(E) agree to second order along a line.
+        central = np.array(
+            [(terms(b, step * e)[2] - terms(b, -step * e)[2]) / (2 * step) for e in basis]
+        )
+        assert np.linalg.norm(hess - central) <= 1e-6 * np.linalg.norm(hess)
+        # det R R* = 1 for traceless H, so the value is the log capacity ratio
+        ratio = capacity_ratio(t, r @ r.conj().T)
         assert abs(value - np.log(ratio)) <= 1e-12 * max(abs(value), 1.0)
+
+
+@pytest.mark.parametrize("bad", [math.inf, math.nan, 1e200])
+def test_geodesic_terms_reads_a_non_finite_stack_as_degenerate(bad):
+    b = make_op(2, 2, 2, seed=3)._kraus_stack.copy()
+    b[0, 0, 0] = bad
+    with np.errstate(all="ignore"), pytest.raises(capax.capacity._Degenerate):
+        _geodesic_terms(b, _herm_basis(2))
 
 
 @pytest.mark.parametrize("n,m,k", [(2, 2, 2), (2, 3, 2), (3, 2, 3)])
@@ -183,22 +203,68 @@ def _boundary_kraus(eps: float = 0.0) -> CPOperator:
 
 
 def test_direct_newton_refuses_a_rising_value(monkeypatch):
-    """A Newton step that lowers the gradient but raises the value by more
-    than rounding is refused: here every evaluation reads 1e-9 higher than
-    the one before, so the first step is refused and the value is the one
-    at BFGS's stopping point."""
+    """The line search refuses a trial point whose value rises by more than
+    rounding: here every evaluation reads 1 higher than the one before, more
+    than the descent can gain, so every halving of the first step is refused
+    until the line search gives out, and the value is the one at X = I."""
     real_terms = capax.capacity._geodesic_terms
     values = []
 
     def rising(*args):
         value, err, grad, hess = real_terms(*args)
         values.append(value)
-        return value + 1e-9 * len(values), err, grad, hess
+        return value + len(values), err, grad, hess
 
     monkeypatch.setattr(capax.capacity, "_geodesic_terms", rising)
     report = cap_direct_pd(make_op(2, 2, 2, seed=1))
-    assert len(values) == 2
-    assert report.value == math.exp(values[0] + 1e-9)
+    assert len(values) == 1 + _MAX_BACKTRACKS
+    assert report.value == math.exp(values[0] + 1)
+    assert report.iterations == 0
+    # the trial points close in on X = I as the step halves
+    assert abs(values[-1] - values[0]) <= 1e-6 * abs(values[1] - values[0])
+
+
+def test_direct_line_search_refuses_a_rise_of_1e_9(monkeypatch):
+    """Once the gradient norm is under _STALL_GRAD a step gains far less than
+    1e-9, so a rise of 1e-9 per evaluation from there on is more than
+    rounding: every halving of the next step is refused, and the value and
+    residual are the ones at the first point under _STALL_GRAD."""
+    real_terms = capax.capacity._geodesic_terms
+    values, norms = [], []
+
+    def rising(*args):
+        value, err, grad, hess = real_terms(*args)
+        values.append(value)
+        norms.append(float(np.linalg.norm(grad)))
+        below = [i for i, norm in enumerate(norms) if norm <= _STALL_GRAD]
+        rise = 1e-9 * (len(values) - 1 - below[0]) if below else 0.0
+        return value + rise, err, grad, hess
+
+    monkeypatch.setattr(capax.capacity, "_geodesic_terms", rising)
+    report = cap_direct_pd(make_op(2, 2, 2, seed=1))
+    first = next(i for i, norm in enumerate(norms) if norm <= _STALL_GRAD)
+    assert first >= 1
+    assert len(values) == first + 1 + _MAX_BACKTRACKS
+    assert report.value == math.exp(values[first])
+    assert report.residual == norms[first]
+
+
+def test_direct_line_search_refuses_a_nan_value(monkeypatch):
+    """A trial value that is NaN counts as refused, never as accepted."""
+    real_terms = capax.capacity._geodesic_terms
+    values = []
+
+    def nan_after_first(*args):
+        value, err, grad, hess = real_terms(*args)
+        values.append(value)
+        return (value if len(values) == 1 else math.nan), err, grad, hess
+
+    monkeypatch.setattr(capax.capacity, "_geodesic_terms", nan_after_first)
+    with np.errstate(all="raise"):
+        report = cap_direct_pd(make_op(2, 2, 2, seed=1))
+    assert len(values) == 1 + _MAX_BACKTRACKS
+    assert report.value == math.exp(values[0])
+    assert report.flags == ("NoConvergence",)
 
 
 def test_direct_boundary_base_keeps_value_and_flag():
@@ -252,6 +318,74 @@ def test_direct_edge_inputs_match_reference(n, m, k, seed, scale, expected):
     assert report.residual <= 1e-8
 
 
+@pytest.mark.parametrize("m,k,restarts", [(1, 1, 1), (1, 3, 1), (2, 3, 1), (3, 4, 3)])
+def test_direct_one_dimensional_input(m, k, restarts):
+    """n = 1: every X is a scalar x > 0 and det T(x)^(1/m) / x = det T(1)^(1/m),
+    so the chart has no directions and the value is the one at X = I."""
+    t = make_op(1, m, k, seed=10 * m + k)
+    report = cap_direct_pd(t, restarts=restarts)
+    exact = np.linalg.det(apply(t, np.eye(1))).real ** (1.0 / m)
+    assert abs(report.value - exact) <= 1e-13 * exact
+    assert report.flags == ()
+    assert report.residual == 0.0
+    assert_allclose(report.witness["x"], np.eye(1), atol=0.0)
+
+
+@pytest.mark.parametrize("restarts", [0, -2])
+def test_direct_restarts_below_one_run_the_identity_start(restarts):
+    t = make_op(3, 2, 2, seed=43)
+    one = report_to_dict(cap_direct_pd(t, restarts=1))
+    assert report_to_dict(cap_direct_pd(t, restarts=restarts)) == one
+
+
+def test_direct_exact_zero_gradient_is_not_a_zero_division():
+    """Probe-family item 90 at seed 6200, scale 2^-11: the Hessian turns flat
+    at the minimum (smallest curvature of order 1e-16) as the gradient falls
+    to rounding, and can read exactly 0 there. Leaving out directions whose
+    shifted curvature is below _CURVATURE_FLOOR keeps the step from dividing
+    0 by 0 or wandering along the flat direction into a false
+    InfimumNotAttained. The value is the one of the earlier BFGS-plus-Newton
+    route."""
+    family = CompactFamily(2, 2, 2, radius=2.0, seed=42)
+    sequence = np.random.SeedSequence(6200, spawn_key=(90,))
+    base = family.sample(np.random.default_rng(sequence))
+    direction = random_direction(base, np.random.default_rng(sequence))
+    with np.errstate(all="raise"):
+        report = cap_direct_pd(perturb(base, direction, 2.0**-11), tol=1e-10)
+    assert report.flags == ()
+    assert abs(report.value - 0.9825212724605034) <= 1e-12
+
+
+def _rank_decreasing(n: int, seed: int) -> CPOperator:
+    """Two Kraus operators that map a 2-dimensional subspace into a
+    1-dimensional one, mixed by Haar unitaries on both sides: they share no
+    kernel vector, but T is rank decreasing, so cap(T) = 0."""
+    rng = np.random.default_rng(seed)
+    u, v = haar_unitary(n, rng), haar_unitary(n, rng)
+    kraus = []
+    for _ in range(2):
+        z = (rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))) / np.sqrt(2.0)
+        z[1:, :2] = 0.0
+        kraus.append(u @ z @ v)
+    return CPOperator(tuple(kraus))
+
+
+@pytest.mark.filterwarnings("ignore:CP operator with n=7")
+def test_direct_zero_capacity_corpora_are_degenerate():
+    """cap(T) = 0 exactly when T is rank decreasing (Gurvits 2004). Kraus
+    operators with a common kernel (K m < n here) are decided by the rank
+    test before any descent; rank-decreasing operators without one fall
+    through the degenerate_drop floor."""
+    shapes = [(2, 1, 1), (3, 1, 2), (4, 1, 3), (5, 2, 2), (7, 3, 2), (3, 2, 1)]
+    corpus = [random_cp(n, m, k, rng=seed) for n, m, k in shapes for seed in range(10)]
+    corpus += [_rank_decreasing(n, seed) for n in (3, 4) for seed in range(20)]
+    for t in corpus:
+        with np.errstate(all="raise"):
+            report = cap_direct_pd(t)
+        assert report.value == 0.0
+        assert report.flags == ("Degenerate",)
+
+
 def _criterion_06_corpus():
     for i in range(30):
         rng = np.random.default_rng(7000 + i)
@@ -262,26 +396,23 @@ def _criterion_06_corpus():
 
 def test_direct_criterion_06_corpus_converges_in_few_evaluations(monkeypatch):
     """Every report meets the gradient test unflagged, and the mean number of
-    evaluations per solve (BFGS oracle calls plus Newton-chart evaluations)
+    evaluations per solve (_geodesic_terms calls, trial points included)
     stays under half of the 78.5 oracle calls that four BFGS restarts at
     gradient test 1e-8 took on this corpus."""
     calls = Counter()
+    real_terms = capax.capacity._geodesic_terms
 
-    def counting(name, fn):
-        def wrapper(*args):
-            calls[name] += 1
-            return fn(*args)
+    def counting(*args):
+        calls["_geodesic_terms"] += 1
+        return real_terms(*args)
 
-        return wrapper
-
-    for name in ("_logdet_oracle", "_geodesic_terms"):
-        monkeypatch.setattr(capax.capacity, name, counting(name, getattr(capax.capacity, name)))
+    monkeypatch.setattr(capax.capacity, "_geodesic_terms", counting)
     for t in _criterion_06_corpus():
         report = cap_direct_pd(t)
         assert report.flags == ()
         assert report.residual <= 1e-8
     assert calls["_geodesic_terms"] >= 30
-    assert sum(calls.values()) / 30 < 78.5 / 2
+    assert calls["_geodesic_terms"] / 30 < 78.5 / 2
 
 
 def test_scaling_identity_converges_immediately():

@@ -9,6 +9,7 @@ from capax import (
     diag_problem,
     identity_channel,
     problem_to_json,
+    random_cp,
     report_to_dict,
     to_json,
     trace_channel,
@@ -64,6 +65,18 @@ def test_cap_without_restarts_uses_library_defaults(capsys, tmp_path):
     assert code == 0
     assert out == json.dumps(report_to_dict(cap_unitary_search(t)), sort_keys=True) + "\n"
 
+
+
+def test_cap_on_a_zero_capacity_operator_reports_degenerate(capsys, tmp_path):
+    """Kraus operators with a common kernel (K m = 2 < n = 3): the direct
+    route reports Degenerate with value 0, and the verb exits 0."""
+    path = tmp_path / "op.json"
+    path.write_text(to_json(random_cp(3, 1, 2, rng=1)))
+    code, out, err = _run(capsys, ["cap", str(path)])
+    assert code == 0 and err == ""
+    payload = json.loads(out)
+    assert payload["value"] == 0.0
+    assert payload["flags"] == ["Degenerate"]
 
 def test_cap_method_selection(capsys, trace_file):
     code, out, _ = _run(capsys, ["cap", trace_file, "--method", "scaling"])

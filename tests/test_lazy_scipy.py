@@ -8,7 +8,15 @@ from collections import Counter
 import numpy as np
 
 import capax
-from capax import ExpSumProblem, HullTag, cap_direct_pd, capacity, classify_hull, expsum
+from capax import (
+    ExpSumProblem,
+    HullTag,
+    cap_direct_pd,
+    cap_unitary_search,
+    capacity,
+    classify_hull,
+    expsum,
+)
 from conftest import make_op
 
 # prints which of scipy.optimize and scipy.linalg are loaded after import
@@ -31,27 +39,34 @@ print(seen)
 
 
 def test_import_and_scipy_free_verbs_leave_scipy_unloaded(tmp_path):
-    """import capax and the coeffs, cap0, psi and entropy verbs on a generic
-    operator (whose diagonal problem is interior) load neither
+    """import capax and the coeffs, cap0, psi, entropy and cap verbs on a
+    generic operator (whose diagonal problem is interior) load neither
     scipy.optimize nor scipy.linalg."""
     t = capax.random_cp(2, 2, 2, scale=0.5, rng=np.random.default_rng(4100))
     op, problem = tmp_path / "op.json", tmp_path / "problem.json"
     op.write_text(capax.to_json(t))
     problem.write_text(capax.problem_to_json(capax.diag_problem(t)))
-    verbs = [["coeffs", str(op)], ["cap0", str(op)], ["psi", str(problem)], ["entropy", str(problem)]]
+    verbs = [
+        ["coeffs", str(op)],
+        ["cap0", str(op)],
+        ["psi", str(problem)],
+        ["entropy", str(problem)],
+        ["cap", str(op)],
+    ]
     src = os.path.dirname(os.path.dirname(capax.__file__))
     env = dict(os.environ, PYTHONPATH=src)
     out = subprocess.run(
         [sys.executable, "-c", _CHECK, json.dumps(verbs)],
         capture_output=True, text=True, env=env, timeout=120, check=True,
     ).stdout
-    assert out.strip() == str({name: [] for name in ["import capax", "coeffs", "cap0", "psi", "entropy"]})
+    names = ["import capax"] + [argv[0] for argv in verbs]
+    assert out.strip() == str({name: [] for name in names})
 
 
 def test_rebound_entry_points_see_every_call(monkeypatch):
     """Counting wrappers bound onto capax.expsum.linprog and
     capax.capacity.minimize see the LP of a boundary classification and
-    every BFGS run of cap_direct_pd."""
+    every BFGS run of cap_unitary_search; cap_direct_pd runs none."""
     calls = Counter()
 
     def counting(name, fn):
@@ -68,4 +83,6 @@ def test_rebound_entry_points_see_every_call(monkeypatch):
     assert classify_hull(boundary).tag is HullTag.BOUNDARY_ZERO
     assert calls["linprog"] >= 1
     cap_direct_pd(make_op(2, 2, 2, 5), restarts=3)
+    assert calls["minimize"] == 0
+    cap_unitary_search(make_op(2, 2, 2, 5), restarts=3)
     assert calls["minimize"] == 3
