@@ -3,13 +3,15 @@
 cap(T) is the infimum of det(T(X))^(1/m) / det(X)^(1/n) over positive
 definite X. Three routes are implemented:
 
-* ``cap_direct_pd``: an exact common-kernel test (cap = 0), then
-  regularized Newton descent from X = I in the geodesic chart
-  X^(1/2) exp(E) X^(1/2), with the exact Hessian and an Armijo line
-  search; the final gradient decides NoConvergence;
-* ``cap_unitary_search``: cap(T) = inf_U cap0(T_U) where cap0 restricts X
-  to diagonal matrices and reduces to a weighted exponential sum, so the
-  outer search runs over unitaries only;
+* ``cap_direct_pd``: rank tests for a common kernel and a singular T(I)
+  (cap = 0), then one regularized Newton descent from X = I in the
+  geodesic chart X^(1/2) exp(E) X^(1/2), where the objective is convex,
+  with the exact Hessian and an Armijo line search; the final gradient
+  decides NoConvergence;
+* ``cap_unitary_search``: the same rank tests and a shrunk-subspace test,
+  then cap(T) = inf_U cap0(T_U) where cap0 restricts X to diagonal
+  matrices and reduces to a weighted exponential sum, so the outer search
+  runs over unitaries only;
 * ``cap_via_scaling``: alternate row and column marginal normalization
   (square case only), accumulating determinant corrections.
 
@@ -78,16 +80,13 @@ class Method(str, enum.Enum):
 
 @dataclass(frozen=True)
 class CapacityConfig:
+    """Options of cap; restarts_unitary and seed reach only check_psi."""
+
     tol: float = 1e-9
-    psi_tol: float = 1e-10
-    restarts_direct: int = 1
     restarts_unitary: int = 8
     seed: int = 0
     check_psi: bool = False
     check_scaling: bool = False
-    scaling_max_steps: int = 2000
-    scaling_residual_tol: float = 1e-8
-    degenerate_drop: float = 40.0
 
 
 @dataclass(frozen=True)
@@ -146,6 +145,32 @@ class _Degenerate(Exception):
     """Internal signal: det(T(X)) or Psi collapses to zero, so cap(T) = 0."""
 
 
+def _common_kernel(a: np.ndarray) -> bool:
+    """The Kraus operators of the (K, m, n) stack a share a kernel vector:
+    the stacked (K m, n) matrix has rank below n, so cap(T) = 0."""
+    return np.linalg.matrix_rank(a.reshape(-1, a.shape[2])) < a.shape[2]
+
+
+def _singular_image(a: np.ndarray) -> bool:
+    """T(I), and so every T(X), is singular: [A_1 ... A_K], an m x K n
+    matrix, has rank below m, so cap(T) = cap0(T) = 0. The SVD of that
+    matrix, not the eigenvalues of T(I), whose conditioning is its square."""
+    return np.linalg.matrix_rank(np.concatenate(a, axis=1)) < a.shape[1]
+
+
+def _shrunk_subspace(a: np.ndarray) -> bool:
+    """A square T maps some subspace V onto fewer dimensions, so cap(T) = 0
+    (Gurvits 2004): sum_k A_k (x) M_k is singular for seeded random d x d
+    M_k, d = n - 1. At that d it is nonsingular for generic M_k exactly
+    when no such V exists (Derksen and Makam 2017)."""
+    k, m, n = a.shape
+    if m != n or n == 1:
+        return False
+    z = np.random.default_rng(0).standard_normal((2, k, n - 1, n - 1))
+    blow_up = np.einsum("kab,kcd->acbd", a, z[0] + 1j * z[1]).reshape(n * (n - 1), -1)
+    return np.linalg.matrix_rank(blow_up) < n * (n - 1)
+
+
 def _diag_psi(t: CPOperator | np.ndarray, tol: float, max_iter: int = 200) -> PsiResult:
     """Psi of the diagonal restriction; raises _Degenerate when it vanishes."""
     prob = diag_problem(t)
@@ -184,6 +209,8 @@ def cap0(t: CPOperator, tol: float = 1e-10) -> CapacityReport:
     when the infimum is attained) is the optimal diagonal matrix.
     """
     try:
+        if _singular_image(t._kraus_stack):  # a common kernel does not force cap0 = 0
+            raise _Degenerate
         res = _diag_psi(t, tol)
     except _Degenerate:
         return CapacityReport(0.0, Method.PSI_UNITARY, 0.0, 0, None, ("Degenerate",))
@@ -329,14 +356,19 @@ _STALL_GRAD = 1e-6
 # Steps that stay this long (geodesic length) while the gradient falls
 # follow a minimizing sequence out to infinity.
 _UNATTAINED_STEP = 0.1
+# On a rank-decreasing T without a common kernel or a singular image the
+# objective falls without bound as X runs off along a shrunk subspace. A
+# fall below the value at X = I by a ratio of e^-40 (about 4e-18, under the
+# rounding of that value) is read as cap = 0.
+_DEGENERATE_DROP = 40.0
 
 
 def _newton_descent(
-    a: np.ndarray, r: np.ndarray, terms: tuple, basis: np.ndarray, f_floor: float
+    a: np.ndarray, basis: np.ndarray
 ) -> tuple[float, np.ndarray, float, int, float]:
-    """Regularized Newton descent from X = R R* on the stack a, where terms
-    is _geodesic_terms(a R, basis), each step taken in the geodesic chart at
-    the current point: R moves to R exp(S/2).
+    """Regularized Newton descent on the stack a from X = R R* = I, each
+    step taken in the geodesic chart at the current point: R moves to
+    R exp(S/2).
 
     The step is S = -(H+ + |g| I)^-1 g, with H+ the Hessian whose negative
     curvatures are clipped to 0 (Mishchenko, "Regularized Newton method with
@@ -348,9 +380,10 @@ def _newton_descent(
     when the line search gives out, or when a step no longer lowers a
     gradient norm of at most _STALL_GRAD. Returns the value, R, the gradient
     norm, the number of steps kept and the length of the last one. Raises
-    _Degenerate when the value falls below f_floor.
+    _Degenerate when the value falls _DEGENERATE_DROP below its start.
     """
-    f, err, grad, hess = terms
+    f, err, grad, hess = _geodesic_terms(a, basis)
+    r, f_floor = np.eye(a.shape[2], dtype=complex), f - _DEGENERATE_DROP
     grad_norm, steps, last = float(np.linalg.norm(grad)), 0, 0.0
     while steps < _NEWTON_MAX_STEPS:
         w, v = np.linalg.eigh(hess)
@@ -377,56 +410,35 @@ def _newton_descent(
     return f, r, grad_norm, steps, last
 
 
-def cap_direct_pd(
-    t: CPOperator,
-    tol: float = 1e-9,
-    restarts: int = 1,
-    seed: int = 0,
-    degenerate_drop: float = 40.0,
-) -> CapacityReport:
+def cap_direct_pd(t: CPOperator, tol: float = 1e-9) -> CapacityReport:
     """Minimize the capacity ratio over positive definite X by regularized
-    Newton descent in the geodesic chart (_newton_descent).
+    Newton descent in the geodesic chart (_newton_descent) from X = I.
 
     cap(T) = 0 is decided first and exactly when the Kraus operators share
-    a kernel vector: one SVD of the stacked (K m, n) Kraus matrix, with a
-    relative rank threshold. Otherwise the descent runs from X = I (plus
-    restarts - 1 seeded random starts X = exp(H), H traceless Hermitian) and
-    the lowest value wins. Degeneracy (capacity zero) is also declared when
-    the objective falls more than degenerate_drop below its value at X = I,
-    as it does on rank-decreasing operators. The residual is the final
-    geodesic gradient norm; NoConvergence marks a residual above
-    max(tol, 1e-8), and InfimumNotAttained a run whose steps kept a length
-    above _UNATTAINED_STEP to the end, the sign of an infimum approached but
-    not attained. The iterations count Newton steps over all starts.
+    a kernel vector or T(I) is singular (_common_kernel, _singular_image):
+    one SVD each, with a relative rank threshold. The objective is
+    geodesically convex, so the one start at X = I reaches the value that
+    any other start would. Degeneracy is also declared when the objective
+    falls more than _DEGENERATE_DROP below its value at X = I, as it does on
+    the other rank-decreasing operators. The residual is the final geodesic
+    gradient norm; NoConvergence marks a residual above max(tol, 1e-8), and
+    InfimumNotAttained a run whose steps kept a length above
+    _UNATTAINED_STEP to the end, the sign of an infimum approached but not
+    attained. The iterations count Newton steps.
     """
-    n, a = t.n, t._kraus_stack
+    a = t._kraus_stack
     degenerate = CapacityReport(0.0, Method.DIRECT_PD, 0.0, 0, None, ("Degenerate",))
-    if np.linalg.matrix_rank(a.reshape(-1, n)) < n:
+    if _common_kernel(a) or _singular_image(a):
         return degenerate
-    basis, rng = _herm_basis(n), np.random.default_rng(seed)
-    r, best, iterations = np.eye(n, dtype=complex), None, 0
     try:
-        start = _geodesic_terms(a, basis)  # X = I sets the floor and is the first start
-        f_floor = start[0] - degenerate_drop
-        for i in range(max(restarts, 1)):  # restarts <= 1: the start at X = I only
-            if i:
-                v = 0.3 * rng.standard_normal(n * n - 1)
-                r = expm_hermitian(np.tensordot(0.5 * v, basis, axes=1))
-                start = _geodesic_terms(a @ r, basis)
-            found = _newton_descent(a, r, start, basis, f_floor)
-            iterations += found[3]
-            if best is None or found[0] < best[0]:
-                best = found
+        f, r, grad_norm, steps, last = _newton_descent(a, _herm_basis(t.n))
     except _Degenerate:
-        return replace(degenerate, iterations=iterations)
-    f, r, grad_norm, _, last = best
+        return degenerate
     flags = ("NoConvergence",) if grad_norm > max(tol, 1e-8) else ()
     if last > _UNATTAINED_STEP:
         flags = ("InfimumNotAttained",) + flags
     x = hermitian_part(r @ r.conj().T)
-    return CapacityReport(
-        float(np.exp(f)), Method.DIRECT_PD, grad_norm, iterations, {"x": x}, flags
-    )
+    return CapacityReport(float(np.exp(f)), Method.DIRECT_PD, grad_norm, steps, {"x": x}, flags)
 
 
 def _unitary_expand(h: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -463,20 +475,21 @@ def _unitary_oracle(
     return value, (2.0 / m) * (vec @ inner @ vec.conj().T)
 
 
-_SEARCH_TOL = 1e-8  # Psi tolerance per search evaluation; the winner is re-solved at psi_tol
+_SEARCH_TOL = 1e-8  # Psi tolerance per search evaluation; the winner is re-solved at _PSI_TOL
+_PSI_TOL = 1e-10
 
 
 def cap_unitary_search(
-    t: CPOperator,
-    tol: float = 1e-9,
-    restarts: int = 8,
-    seed: int = 0,
-    psi_tol: float = 1e-10,
+    t: CPOperator, tol: float = 1e-9, restarts: int = 8, seed: int = 0
 ) -> CapacityReport:
     """cap(T) as inf over unitaries U of the diagonal capacity of T_U.
 
-    BFGS over U = exp(iH), H traceless Hermitian (the global phase of U does
-    not change cap0), on g(U) = (1/m) log Psi(T_U) with the exact envelope
+    A common kernel, a singular T(I) or a shrunk subspace (_common_kernel,
+    _singular_image, _shrunk_subspace) makes cap(T) zero, which the search
+    would only approach through unattained infima; all three are checked
+    once, up front, and reported as Degenerate. Otherwise BFGS runs over
+    U = exp(iH), H traceless Hermitian (the global phase of U does not
+    change cap0), on g(U) = (1/m) log Psi(T_U) with the exact envelope
     gradient of _unitary_oracle; identity start plus seeded random
     restarts, a cheap exponential-sum solve per evaluation and one tight
     solve at the winner. A restart that reaches a U whose diagonal infimum
@@ -487,6 +500,9 @@ def cap_unitary_search(
     iterations count objective evaluations.
     """
     a = t._kraus_stack
+    degenerate = CapacityReport(0.0, Method.PSI_UNITARY, 0.0, 0, None, ("Degenerate",))
+    if _common_kernel(a) or _singular_image(a) or _shrunk_subspace(a):
+        return degenerate
     dim = t.n * t.n - 1
     # Near a minimum the value error is about |grad|^2, so tol on the value
     # asks for sqrt(tol) on the gradient; below 1e-7 the line search can no
@@ -497,15 +513,14 @@ def cap_unitary_search(
     best, evals = _bfgs_restarts(
         lambda h: _unitary_oracle(a, h, _SEARCH_TOL), t.n, starts, options
     )
-    degenerate = CapacityReport(0.0, Method.PSI_UNITARY, 0.0, evals, None, ("Degenerate",))
     if best is None:
-        return degenerate
+        return replace(degenerate, iterations=evals)
     _, h, converged = best
     u_best = _unitary_expand(h)[0]
     try:
-        final = _diag_psi(a @ u_best, psi_tol)
+        final = _diag_psi(a @ u_best, _PSI_TOL)
     except _Degenerate:
-        return degenerate
+        return replace(degenerate, iterations=evals)
     report = _psi_report(final, t.m, evals, u_best)
     return report if converged else replace(report, flags=report.flags + ("NoConvergence",))
 
@@ -613,28 +628,14 @@ def cap(t: CPOperator, config: CapacityConfig | None = None) -> CapacityReport:
     routes in cross_checks without changing the reported value.
     """
     cfg = config or CapacityConfig()
-    report = cap_direct_pd(
-        t,
-        tol=cfg.tol,
-        restarts=cfg.restarts_direct,
-        seed=cfg.seed,
-        degenerate_drop=cfg.degenerate_drop,
-    )
+    report = cap_direct_pd(t, tol=cfg.tol)
     cross: dict = {}
     if cfg.check_psi:
-        other = cap_unitary_search(
-            t,
-            tol=cfg.tol,
-            restarts=cfg.restarts_unitary,
-            seed=cfg.seed,
-            psi_tol=cfg.psi_tol,
-        )
+        other = cap_unitary_search(t, tol=cfg.tol, restarts=cfg.restarts_unitary, seed=cfg.seed)
         cross["psi_unitary"] = other.value
         cross["psi_unitary_delta"] = abs(other.value - report.value)
     if cfg.check_scaling and t.n == t.m:
-        other = cap_via_scaling(
-            t, max_steps=cfg.scaling_max_steps, residual_tol=cfg.scaling_residual_tol
-        )
+        other = cap_via_scaling(t)
         cross["scaling"] = other.value
         cross["scaling_delta"] = abs(other.value - report.value)
     if cross:

@@ -14,7 +14,6 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -99,19 +98,15 @@ def _cmd_cap(args: argparse.Namespace, cfg: dict) -> dict:
     method = _pick(args, cfg, "method", "direct")
     tol = float(_pick(args, cfg, "tol", 1e-9))
     seed = int(_pick(args, cfg, "seed", 0))
-    restarts = _pick(args, cfg, "restarts", None)  # None: the route's own default
+    # the unitary search's starts, for --method psi and --check-psi alike
+    restarts = int(_pick(args, cfg, "restarts", CapacityConfig.restarts_unitary))
     if method == "direct":
         check_psi = bool(_pick(args, cfg, "check_psi", False))
         check_scaling = bool(_pick(args, cfg, "check_scaling", False))
-        config = CapacityConfig(
-            tol=tol, seed=seed, check_psi=check_psi, check_scaling=check_scaling
-        )
-        if restarts is not None:
-            config = replace(config, restarts_direct=int(restarts))
+        config = CapacityConfig(tol, restarts, seed, check_psi, check_scaling)
         report = cap(t, config)
     elif method == "psi":
-        given = {} if restarts is None else {"restarts": int(restarts)}
-        report = cap_unitary_search(t, tol=tol, seed=seed, **given)
+        report = cap_unitary_search(t, tol=tol, restarts=restarts, seed=seed)
     elif method == "scaling":
         max_steps = int(_pick(args, cfg, "max_steps", 2000))
         residual_tol = float(_pick(args, cfg, "residual_tol", 1e-8))
@@ -206,7 +201,7 @@ def _cmd_probe(args: argparse.Namespace, cfg: dict) -> dict:
     scales_raw = _pick(args, cfg, "scales", None)
     scales = None if scales_raw is None else _parse_floats(scales_raw)
     tol = float(_pick(args, cfg, "tol", 1e-10))
-    run = run_probe(t, direction, scales=scales, config=CapacityConfig(tol=tol, seed=int(seed)))
+    run = run_probe(t, direction, scales=scales, config=CapacityConfig(tol=tol))
     output = _pick(args, cfg, "output", None)
     if output is not None:
         export_csv(run, output)
@@ -232,7 +227,9 @@ def _build_parser() -> argparse.ArgumentParser:
     p_cap.add_argument("--method", choices=["direct", "psi", "scaling"])
     p_cap.add_argument("--tol", type=float)
     p_cap.add_argument("--seed", type=int)
-    p_cap.add_argument("--restarts", type=int)
+    p_cap.add_argument(
+        "--restarts", type=int, help="unitary-search starts (--method psi, --check-psi)"
+    )
     p_cap.add_argument("--check-psi", dest="check_psi", action="store_const", const=True)
     p_cap.add_argument(
         "--check-scaling", dest="check_scaling", action="store_const", const=True

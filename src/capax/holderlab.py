@@ -124,8 +124,8 @@ def probe_pair(
 ) -> tuple[float, float]:
     """Operator distance and absolute capacity difference for one pair."""
     cfg = config or CapacityConfig(tol=1e-10)
-    r1 = cap_direct_pd(t1, tol=cfg.tol, restarts=cfg.restarts_direct, seed=cfg.seed)
-    r2 = cap_direct_pd(t2, tol=cfg.tol, restarts=cfg.restarts_direct, seed=cfg.seed)
+    r1 = cap_direct_pd(t1, tol=cfg.tol)
+    r2 = cap_direct_pd(t2, tol=cfg.tol)
     return distance(t1, t2), abs(r1.value - r2.value)
 
 
@@ -160,9 +160,7 @@ def run_probe(
     scales = np.asarray(scales, dtype=float)
     flags: list[str] = []
 
-    base_report = cap_direct_pd(
-        base, tol=cfg.tol, restarts=cfg.restarts_direct, seed=cfg.seed
-    )
+    base_report = cap_direct_pd(base, tol=cfg.tol)
     if "Degenerate" in base_report.flags:
         return ProbeRun(base, direction, np.zeros((0, 3)), flags=("DegenerateBase",))
 
@@ -170,9 +168,7 @@ def run_probe(
     for s in scales:
         shifted = perturb(base, direction, float(s))
         dist = distance(base, shifted)
-        other = cap_direct_pd(
-            shifted, tol=cfg.tol, restarts=cfg.restarts_direct, seed=cfg.seed
-        )
+        other = cap_direct_pd(shifted, tol=cfg.tol)
         rows.append((float(s), dist, abs(other.value - base_report.value)))
     samples = np.array(rows)
 

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from capax import (
+    CapacityConfig,
     cap,
     cap_unitary_search,
     diag_problem,
@@ -66,17 +67,30 @@ def test_cap_without_restarts_uses_library_defaults(capsys, tmp_path):
     assert out == json.dumps(report_to_dict(cap_unitary_search(t)), sort_keys=True) + "\n"
 
 
+def test_cap_restarts_set_the_unitary_cross_check(capsys, tmp_path):
+    """--restarts sets the unitary search's starts, here for --check-psi."""
+    t = make_op(2, 2, 2, seed=3)
+    path = tmp_path / "op.json"
+    path.write_text(to_json(t))
+    code, out, _ = _run(capsys, ["cap", str(path), "--check-psi", "--restarts", "2"])
+    assert code == 0
+    expected = cap(t, CapacityConfig(check_psi=True, restarts_unitary=2))
+    assert out == json.dumps(report_to_dict(expected), sort_keys=True) + "\n"
+
 
 def test_cap_on_a_zero_capacity_operator_reports_degenerate(capsys, tmp_path):
-    """Kraus operators with a common kernel (K m = 2 < n = 3): the direct
-    route reports Degenerate with value 0, and the verb exits 0."""
+    """Kraus operators with a common kernel (K m = 2 < n = 3), or a singular
+    T(I) (K n = 4 < m = 5): the direct route reports Degenerate with value
+    0, and the verb exits 0."""
     path = tmp_path / "op.json"
-    path.write_text(to_json(random_cp(3, 1, 2, rng=1)))
-    code, out, err = _run(capsys, ["cap", str(path)])
-    assert code == 0 and err == ""
-    payload = json.loads(out)
-    assert payload["value"] == 0.0
-    assert payload["flags"] == ["Degenerate"]
+    for op in (random_cp(3, 1, 2, rng=1), random_cp(2, 5, 2, rng=401)):
+        path.write_text(to_json(op))
+        code, out, err = _run(capsys, ["cap", str(path)])
+        assert code == 0 and err == ""
+        payload = json.loads(out)
+        assert payload["value"] == 0.0
+        assert payload["flags"] == ["Degenerate"]
+
 
 def test_cap_method_selection(capsys, trace_file):
     code, out, _ = _run(capsys, ["cap", trace_file, "--method", "scaling"])

@@ -82,7 +82,7 @@ def test_rebound_entry_points_see_every_call(monkeypatch):
     boundary = ExpSumProblem(np.array([[-1.0, 0.0], [1.0, 0.0], [0.0, 1.0]]), np.ones(3))
     assert classify_hull(boundary).tag is HullTag.BOUNDARY_ZERO
     assert calls["linprog"] >= 1
-    cap_direct_pd(make_op(2, 2, 2, 5), restarts=3)
+    cap_direct_pd(make_op(2, 2, 2, 5))
     assert calls["minimize"] == 0
     cap_unitary_search(make_op(2, 2, 2, 5), restarts=3)
     assert calls["minimize"] == 3
