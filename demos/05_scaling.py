@@ -5,13 +5,22 @@
 
 import numpy as np
 
-from capax import ScalingState, cap_via_scaling, capacity_ratio, random_cp, scaling_step
-from capax.capacity import _marginals
+from capax import (
+    ScalingState,
+    apply,
+    cap_via_scaling,
+    capacity_ratio,
+    dual_apply,
+    random_cp,
+    scaling_step,
+)
 
 t = random_cp(3, 3, 3, scale=0.45, rng=np.random.default_rng(23))
 
-# Watch the residuals step by step.
-_, _, (row, col) = _marginals(t._kraus_stack)
+# Watch the residuals step by step: each is the Frobenius distance of a
+# marginal, T(I) or T*(I), from the identity over sqrt(dimension).
+row = np.linalg.norm(apply(t, np.eye(t.n)) - np.eye(t.m)) / np.sqrt(t.m)
+col = np.linalg.norm(dual_apply(t, np.eye(t.m)) - np.eye(t.n)) / np.sqrt(t.n)
 state = ScalingState(t, 0.0, 0, row, col, np.eye(t.n, dtype=complex))
 print(f"step  0: row={row:.3e} col={col:.3e}")
 for k in range(1, 13):

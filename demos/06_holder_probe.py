@@ -11,7 +11,6 @@ import tempfile
 import numpy as np
 
 from capax import (
-    CapacityConfig,
     CompactFamily,
     estimate_family_modulus,
     export_csv,
@@ -41,7 +40,7 @@ print("probe table written to", path)
 # A small family sweep: sample operator pairs from a norm ball and track the
 # worst ratio |dcap| / dist and the smallest fitted exponent.
 fam = CompactFamily(2, 2, 2, radius=2.0, seed=5)
-summary = estimate_family_modulus(fam, pairs=8, config=CapacityConfig(tol=1e-10), seed=99)
+summary = estimate_family_modulus(fam, pairs=8, tol=1e-10, seed=99)
 print("family sweep over", summary.count, "pairs:")
 print("  min fitted alpha:", summary.min_alpha)
 print("  max |dcap|/dist :", summary.max_ratio)

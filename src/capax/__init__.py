@@ -10,193 +10,20 @@ Alternating marginal scaling gives an independent route in the square
 case, and a probe harness measures how the capacity responds to small
 perturbations of the operator.
 """
-from .capacity import (
-    CapacityConfig,
-    CapacityReport,
-    Method,
-    ScalingState,
-    cap,
-    cap0,
-    cap_direct_pd,
-    cap_unitary_search,
-    cap_via_scaling,
-    capacity_ratio,
-    diag_problem,
-    report_to_dict,
-    report_to_json,
-    scaling_step,
-)
-from .coeffs import (
-    CoeffVector,
-    d_cauchy_binet,
-    d_interpolate,
-    d_leibniz,
-    enumerate_multiindices,
-    evaluate_poly,
-    lipschitz_ratio,
-    pi_fiber,
-)
-from .cpop import (
-    CPOperator,
-    apply,
-    coeff,
-    conjugate_unitary,
-    distance,
-    dual_apply,
-    from_json,
-    identity_channel,
-    op_norm,
-    random_cp,
-    to_json,
-    trace_channel,
-)
-from .errors import (
-    CapaxError,
-    CombinatorialOverflow,
-    ConfigError,
-    DeltaTooLarge,
-    DimensionMismatch,
-    EmptySupport,
-    IllConditionedGrid,
-    IndexOutOfRange,
-    InfeasibleMoment,
-    NonRealCoefficient,
-    NotSupported,
-    NotUnitary,
-    ParseError,
-    SingularEvaluation,
-    SingularMarginal,
-    SingularMatrix,
-    SupportViolation,
-)
-from .expsum import (
-    ExpSumProblem,
-    HullClassification,
-    HullTag,
-    PsiResult,
-    classify_hull,
-    entropy_dual,
-    grad_hess,
-    kl_divergence,
-    near_minimizer,
-    phi_eval,
-    problem_from_json,
-    problem_to_json,
-    psi_minimize,
-    psi_result_to_dict,
-    semicontinuity_bound,
-)
-from .holderlab import (
-    CompactFamily,
-    FamilySummary,
-    ProbeRun,
-    estimate_family_modulus,
-    export_csv,
-    load_probe_csv,
-    perturb,
-    probe_pair,
-    random_direction,
-    run_probe,
-    scaling_direction,
-)
-from .linalg import (
-    det,
-    eigh,
-    expm_hermitian,
-    haar_unitary,
-    hermitian_part,
-    max_singular_value,
-    psd_inv_sqrt,
-    random_hermitian,
-)
+from . import capacity, coeffs, cpop, errors, expsum, holderlab, linalg
+from .capacity import *
+from .coeffs import *
+from .cpop import *
+from .errors import *
+from .expsum import *
+from .holderlab import *
+from .linalg import *
 
 __version__ = "0.1.0"
 
+# Each public name is declared once, in its module's __all__.
 __all__ = [
-    "CapacityConfig",
-    "CapacityReport",
-    "Method",
-    "ScalingState",
-    "cap",
-    "cap0",
-    "cap_direct_pd",
-    "cap_unitary_search",
-    "cap_via_scaling",
-    "capacity_ratio",
-    "diag_problem",
-    "report_to_dict",
-    "report_to_json",
-    "scaling_step",
-    "CoeffVector",
-    "d_cauchy_binet",
-    "d_interpolate",
-    "d_leibniz",
-    "enumerate_multiindices",
-    "evaluate_poly",
-    "lipschitz_ratio",
-    "pi_fiber",
-    "CPOperator",
-    "apply",
-    "coeff",
-    "conjugate_unitary",
-    "distance",
-    "dual_apply",
-    "from_json",
-    "identity_channel",
-    "op_norm",
-    "random_cp",
-    "to_json",
-    "trace_channel",
-    "CapaxError",
-    "CombinatorialOverflow",
-    "ConfigError",
-    "DeltaTooLarge",
-    "DimensionMismatch",
-    "EmptySupport",
-    "IllConditionedGrid",
-    "IndexOutOfRange",
-    "InfeasibleMoment",
-    "NonRealCoefficient",
-    "NotSupported",
-    "NotUnitary",
-    "ParseError",
-    "SingularEvaluation",
-    "SingularMarginal",
-    "SingularMatrix",
-    "SupportViolation",
-    "ExpSumProblem",
-    "HullClassification",
-    "HullTag",
-    "PsiResult",
-    "classify_hull",
-    "entropy_dual",
-    "grad_hess",
-    "kl_divergence",
-    "near_minimizer",
-    "phi_eval",
-    "problem_from_json",
-    "problem_to_json",
-    "psi_minimize",
-    "psi_result_to_dict",
-    "semicontinuity_bound",
-    "CompactFamily",
-    "FamilySummary",
-    "ProbeRun",
-    "estimate_family_modulus",
-    "export_csv",
-    "load_probe_csv",
-    "perturb",
-    "probe_pair",
-    "random_direction",
-    "run_probe",
-    "scaling_direction",
-    "det",
-    "eigh",
-    "expm_hermitian",
-    "haar_unitary",
-    "hermitian_part",
-    "max_singular_value",
-    "psd_inv_sqrt",
-    "random_hermitian",
-    "__version__",
-]
+    name
+    for module in (capacity, coeffs, cpop, errors, expsum, holderlab, linalg)
+    for name in module.__all__
+] + ["__version__"]

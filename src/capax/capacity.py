@@ -159,12 +159,28 @@ def _singular_image(a: np.ndarray) -> bool:
 
 
 def _shrunk_subspace(a: np.ndarray) -> bool:
-    """A square T maps some subspace V onto fewer dimensions, so cap(T) = 0
-    (Gurvits 2004): sum_k A_k (x) M_k is singular for seeded random d x d
-    M_k, d = n - 1. At that d it is nonsingular for generic M_k exactly
-    when no such V exists (Derksen and Makam 2017)."""
+    """T shrinks some subspace V, dim sum_k A_k V < (m/n) dim V, so cap(T) = 0
+    (Gurvits 2004 for square T).
+
+    A square T is tested by its blow-up: sum_k A_k (x) M_k is singular for
+    seeded random d x d M_k, d = n - 1. At that d it is nonsingular for
+    generic M_k exactly when no such V exists (Derksen and Makam 2017).
+
+    An m x n T with m != n is tested through the square T (x) Phi of size
+    n m, Phi(Y) = tr(Y) I_n, whose Kraus operators are A_k (x) E_ij for the
+    n x m matrix units E_ij. If V is shrunk by T, then V (x) C^m is shrunk
+    by T (x) Phi: its image (sum_k A_k V) (x) C^n has dimension below
+    m dim V. If cap(T) > 0, T scales to a doubly stochastic operator
+    (Garg, Gurvits, Oliveira and Wigderson 2016), and the same scaling
+    tensored with identities takes T (x) Phi to m times a doubly stochastic
+    one, which shrinks no subspace.
+    """
     k, m, n = a.shape
-    if m != n or n == 1:
+    if m != n:
+        units = np.eye(n * m).reshape(n * m, n, m)
+        a = np.einsum("kab,ecd->keacbd", a, units).reshape(k * n * m, m * n, n * m)
+        k, m, n = a.shape
+    if n == 1:
         return False
     z = np.random.default_rng(0).standard_normal((2, k, n - 1, n - 1))
     blow_up = np.einsum("kab,kcd->acbd", a, z[0] + 1j * z[1]).reshape(n * (n - 1), -1)

@@ -201,7 +201,7 @@ def _cmd_probe(args: argparse.Namespace, cfg: dict) -> dict:
     scales_raw = _pick(args, cfg, "scales", None)
     scales = None if scales_raw is None else _parse_floats(scales_raw)
     tol = float(_pick(args, cfg, "tol", 1e-10))
-    run = run_probe(t, direction, scales=scales, config=CapacityConfig(tol=tol))
+    run = run_probe(t, direction, scales=scales, tol=tol)
     output = _pick(args, cfg, "output", None)
     if output is not None:
         export_csv(run, output)

@@ -50,6 +50,11 @@ __all__ = [
 
 # rows per Vandermonde block in d_interpolate's factorization and residuals
 _RESIDUAL_ROWS = 256
+# d_interpolate's default grid has 3 points per coefficient plus 2, log(lam)
+# uniform on [-0.7, 0.7]; any grid above the condition limit is rejected
+_GRID_OVERSAMPLE = 3
+_GRID_SPREAD = 0.7
+_COND_LIMIT = 1e12
 
 
 def enumerate_multiindices(n: int, m: int) -> list[tuple[int, ...]]:
@@ -308,40 +313,33 @@ def _factor_grid(lam: np.ndarray, jarr: np.ndarray) -> tuple[np.ndarray, np.ndar
 
 
 @lru_cache(maxsize=16)
-def _default_grid(n: int, m: int, oversample: int, spread: float, seed: int):
+def _default_grid(n: int, m: int, seed: int):
     """Log-uniform random grid for (n, m) with its factored Vandermonde matrix."""
     num = math.comb(n + m - 1, m)
     rng = np.random.default_rng(seed)
-    lam = np.exp(rng.uniform(-spread, spread, size=(max(oversample, 1) * num + 2, n)))
+    lam = np.exp(rng.uniform(-_GRID_SPREAD, _GRID_SPREAD, size=(_GRID_OVERSAMPLE * num + 2, n)))
     q, r, cond = _factor_grid(lam, _multiindex_table(n, m)[0].astype(float))
     return (*_read_only(lam, q, r), cond)
 
 
-def d_interpolate(
-    t,
-    probe_grid=None,
-    *,
-    oversample: int = 3,
-    spread: float = 0.7,
-    seed: int = 2027,
-    cond_limit: float = 1e12,
-) -> CoeffVector:
+def d_interpolate(t, probe_grid=None, *, seed: int = 2027) -> CoeffVector:
     """Coefficient vector by least squares on determinant samples.
 
-    Samples det(T(diag(lam))) on a log-uniform random positive grid (or a
-    caller-supplied one with at least as many points as coefficients), fits
-    the monomial model through one QR factorization of the Vandermonde
+    Samples det(T(diag(lam))) on a log-uniform random positive grid drawn
+    from seed (3 points per coefficient plus 2, log(lam) in [-0.7, 0.7]) or
+    on a caller-supplied one with at least as many points as coefficients,
+    fits the monomial model through one QR factorization of the Vandermonde
     matrix, and polishes with two rounds of iterative refinement using
     extended-precision residuals formed in row blocks. The default grid and
-    its factors are cached per (n, m, oversample, spread, seed). The relative
-    fit residual is stored on the result; grids with condition number above
-    cond_limit are rejected.
+    its factors are cached per (n, m, seed). The relative fit residual is
+    stored on the result; grids with condition number above 1e12 are
+    rejected.
     """
     images, n, m = _diag_images(t)
     jarr = _multiindex_table(n, m)[0].astype(float)
     num = jarr.shape[0]
     if probe_grid is None:
-        lam, q, r, cond = _default_grid(n, m, oversample, spread, seed)
+        lam, q, r, cond = _default_grid(n, m, seed)
     else:
         lam = np.asarray(probe_grid, dtype=float)
         if lam.ndim != 2 or lam.shape[1] != n:
@@ -353,8 +351,8 @@ def d_interpolate(
         if lam.min() <= 0:
             raise IllConditionedGrid("probe grid must be strictly positive")
         q, r, cond = _factor_grid(lam, jarr)
-    if not np.isfinite(cond) or cond > cond_limit:
-        raise IllConditionedGrid(f"grid condition number {cond:.3e} exceeds {cond_limit:.1e}")
+    if not np.isfinite(cond) or cond > _COND_LIMIT:
+        raise IllConditionedGrid(f"grid condition number {cond:.3e} exceeds {_COND_LIMIT:.1e}")
 
     log_lam = np.log(lam)
     dets = np.linalg.det(np.einsum("lij,sl->sij", images, lam, optimize=True))

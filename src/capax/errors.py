@@ -1,6 +1,26 @@
 """Exception types shared across the package."""
 from __future__ import annotations
 
+__all__ = [
+    "CapaxError",
+    "DimensionMismatch",
+    "NotUnitary",
+    "IndexOutOfRange",
+    "SingularMatrix",
+    "ParseError",
+    "NonRealCoefficient",
+    "CombinatorialOverflow",
+    "IllConditionedGrid",
+    "EmptySupport",
+    "DeltaTooLarge",
+    "InfeasibleMoment",
+    "SupportViolation",
+    "SingularMarginal",
+    "NotSupported",
+    "SingularEvaluation",
+    "ConfigError",
+]
+
 
 class CapaxError(Exception):
     """Base class for all errors raised by this package."""

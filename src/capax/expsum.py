@@ -337,14 +337,14 @@ class _HullCache:
 _cached_hull = _HullCache(maxsize=4096)
 
 
-def classify_hull(problem: ExpSumProblem, support_eps: float | None = None) -> HullClassification:
-    """Classify the origin against the hull of exponents with weight above support_eps.
+def classify_hull(problem: ExpSumProblem) -> HullClassification:
+    """Classify the origin against the hull of the exponents whose weight
+    exceeds 1e-14 times the largest weight.
 
     The active face, reported for boundary cases, lists absolute term indices
     of the minimal face containing the origin.
     """
-    if support_eps is None:
-        support_eps = _default_support_eps(problem.d)
+    support_eps = _default_support_eps(problem.d)
     support = np.flatnonzero(problem.d > support_eps)
     if support.size == 0:
         raise EmptySupport(f"no weight exceeds the support threshold {support_eps:.3e}")

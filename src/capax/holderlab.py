@@ -7,6 +7,7 @@ against capacity change, and fit a power law |dcap| ~ C * dist^alpha on the
 samples that rise above solver noise. A family sampler aggregates the same
 measurement over random nearby pairs.
 
+Every probe solves with cap_direct_pd at the given tol (default 1e-10).
 All exponents reported here are empirical fits, not certified bounds.
 """
 from __future__ import annotations
@@ -15,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .capacity import CapacityConfig, cap_direct_pd
+from .capacity import cap_direct_pd
 from .cpop import CPOperator, distance, op_norm, random_cp
 from .errors import DimensionMismatch, ParseError
 
@@ -119,13 +120,10 @@ def scaling_direction(base: CPOperator) -> tuple[np.ndarray, ...]:
     return _normalize_direction(base.kraus)
 
 
-def probe_pair(
-    t1: CPOperator, t2: CPOperator, config: CapacityConfig | None = None
-) -> tuple[float, float]:
+def probe_pair(t1: CPOperator, t2: CPOperator, tol: float = 1e-10) -> tuple[float, float]:
     """Operator distance and absolute capacity difference for one pair."""
-    cfg = config or CapacityConfig(tol=1e-10)
-    r1 = cap_direct_pd(t1, tol=cfg.tol)
-    r2 = cap_direct_pd(t2, tol=cfg.tol)
+    r1 = cap_direct_pd(t1, tol=tol)
+    r2 = cap_direct_pd(t2, tol=tol)
     return distance(t1, t2), abs(r1.value - r2.value)
 
 
@@ -144,7 +142,7 @@ def run_probe(
     base: CPOperator,
     direction,
     scales=None,
-    config: CapacityConfig | None = None,
+    tol: float = 1e-10,
     noise_floor: float = _DEFAULT_NOISE_FLOOR,
 ) -> ProbeRun:
     """Sweep dyadic perturbation scales and fit the local power law.
@@ -154,13 +152,12 @@ def run_probe(
     a flag records why.
     """
     direction = _check_direction(base, direction)
-    cfg = config or CapacityConfig(tol=1e-10)
     if scales is None:
         scales = 2.0 ** -np.arange(2, 13)
     scales = np.asarray(scales, dtype=float)
     flags: list[str] = []
 
-    base_report = cap_direct_pd(base, tol=cfg.tol)
+    base_report = cap_direct_pd(base, tol=tol)
     if "Degenerate" in base_report.flags:
         return ProbeRun(base, direction, np.zeros((0, 3)), flags=("DegenerateBase",))
 
@@ -168,7 +165,7 @@ def run_probe(
     for s in scales:
         shifted = perturb(base, direction, float(s))
         dist = distance(base, shifted)
-        other = cap_direct_pd(shifted, tol=cfg.tol)
+        other = cap_direct_pd(shifted, tol=tol)
         rows.append((float(s), dist, abs(other.value - base_report.value)))
     samples = np.array(rows)
 
@@ -186,7 +183,7 @@ def run_probe(
 def estimate_family_modulus(
     family: CompactFamily,
     pairs: int = 20,
-    config: CapacityConfig | None = None,
+    tol: float = 1e-10,
     noise_floor: float = _DEFAULT_NOISE_FLOOR,
     seed=None,
 ) -> FamilySummary:
@@ -195,7 +192,6 @@ def estimate_family_modulus(
     min_alpha is the pooled log-log slope, max_ratio the worst observed
     dcap / dist^min_alpha. Deterministic for a fixed seed.
     """
-    cfg = config or CapacityConfig(tol=1e-10)
     root = np.random.SeedSequence(family.seed if seed is None else seed)
     results = []
     for child in root.spawn(pairs):
@@ -203,7 +199,7 @@ def estimate_family_modulus(
         base = family.sample(rng)
         direction = random_direction(base, rng)
         scale = 10.0 ** rng.uniform(-6.0, -1.0)
-        results.append(probe_pair(base, perturb(base, direction, scale), cfg))
+        results.append(probe_pair(base, perturb(base, direction, scale), tol))
     samples = np.array(results) if results else np.zeros((0, 2))
 
     flags: list[str] = []

@@ -21,6 +21,9 @@ __all__ = [
     "random_hermitian",
 ]
 
+# psd_inv_sqrt's eigenvalue floor, relative to the largest eigenvalue
+_INV_SQRT_FLOOR = 1e-12
+
 
 def _as_complex_matrix(a, name: str = "matrix") -> np.ndarray:
     a = np.asarray(a, dtype=complex)
@@ -58,19 +61,19 @@ def eigh(h) -> tuple[np.ndarray, np.ndarray]:
     return w, v
 
 
-def psd_inv_sqrt(h, eps: float = 1e-12) -> np.ndarray:
+def psd_inv_sqrt(h) -> np.ndarray:
     """Inverse square root of a positive definite Hermitian matrix.
 
-    Raises SingularMatrix when the smallest eigenvalue falls below eps times
-    the largest, so the floor scales with the matrix.
+    Raises SingularMatrix when the smallest eigenvalue falls below 1e-12
+    times the largest, so the floor scales with the matrix.
     """
     w, v = eigh(h)
     if w.size == 0:
         return np.zeros((0, 0), dtype=complex)
-    if not (w.max() > 0 and w.min() >= eps * w.max()):
+    if not (w.max() > 0 and w.min() >= _INV_SQRT_FLOOR * w.max()):
         raise SingularMatrix(
             f"matrix is not safely positive definite (eigenvalues {w.min():.3e} to {w.max():.3e}, "
-            f"relative floor {eps:.1e})"
+            f"relative floor {_INV_SQRT_FLOOR:.1e})"
         )
     return hermitian_part((v * (w ** -0.5)) @ v.conj().T)
 

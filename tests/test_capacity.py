@@ -366,6 +366,22 @@ def _rank_decreasing(n: int, seed: int) -> CPOperator:
     return CPOperator(tuple(kraus))
 
 
+def _rank_decreasing_rectangular(seed: int) -> CPOperator:
+    """Three 4 x 2 Kraus operators that all map one input direction into one
+    output line, mixed by Haar unitaries: V of dimension 1 has
+    dim sum_k A_k V = 1 < (m/n) dim V = 2, so cap(T) = 0, with no common
+    kernel and no singular image."""
+    rng = np.random.default_rng(seed)
+    kraus = []
+    for _ in range(3):
+        z = rng.standard_normal((4, 2)) + 1j * rng.standard_normal((4, 2))
+        z[:, 0] = 0.0
+        z[0, 0] = rng.standard_normal()
+        kraus.append(z)
+    u, w = haar_unitary(2, rng), haar_unitary(4, rng)
+    return CPOperator(tuple(w @ z @ u for z in kraus))
+
+
 def _singular_image_corpus():
     """K n < m: T(I), and so every T(X), is singular."""
     shapes = [(2, 5, 2), (2, 3, 1), (3, 7, 2), (1, 2, 1)]
@@ -378,13 +394,14 @@ def test_direct_zero_capacity_corpora_are_degenerate():
     """cap(T) = 0 exactly when T is rank decreasing (Gurvits 2004). Kraus
     operators with a common kernel (K m < n here) and operators whose T(I)
     is singular (K n < m) are decided by rank tests on both routes. The
-    square rank-decreasing operators without either fall through the direct
-    route's _DEGENERATE_DROP floor, and the unitary route's shrunk-subspace
-    test decides them."""
+    rank-decreasing operators without either, square or 2 x 4, fall through
+    the direct route's _DEGENERATE_DROP floor, and the unitary route's
+    shrunk-subspace test decides them."""
     shapes = [(2, 1, 1), (3, 1, 2), (4, 1, 3), (5, 2, 2), (7, 3, 2), (3, 2, 1)]
     corpus = [random_cp(n, m, k, rng=seed) for n, m, k in shapes for seed in range(10)]
     corpus += _singular_image_corpus()
     corpus += [_rank_decreasing(n, seed) for n in (3, 4) for seed in range(20)]
+    corpus += [_rank_decreasing_rectangular(seed) for seed in range(5)]
     for route in (cap_direct_pd, cap_unitary_search):
         for t in corpus:
             with np.errstate(all="raise"):
@@ -394,9 +411,12 @@ def test_direct_zero_capacity_corpora_are_degenerate():
 
 
 def test_shrunk_subspace_test_passes_rank_non_decreasing_operators():
-    """Generic square operators, K = 1 included, and the boundary operator,
-    whose capacity 1 is not attained, have no shrunk subspace."""
+    """Generic operators, square with K = 1 included and rectangular, and the
+    boundary operator, whose capacity 1 is not attained, have no shrunk
+    subspace."""
     ops = [make_op(n, n, k, seed=s) for n in (2, 3, 4) for k in (1, 2, 3) for s in range(10)]
+    shapes = [(2, 3, 2), (3, 2, 2), (2, 4, 2), (4, 2, 2), (3, 4, 2), (4, 3, 2)]
+    ops += [make_op(n, m, k, seed=s) for n, m, k in shapes for s in range(10)]
     for t in ops + [_boundary_kraus(), _boundary_kraus(1e-12)]:
         assert not _shrunk_subspace(t._kraus_stack)
 

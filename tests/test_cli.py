@@ -11,10 +11,13 @@ from capax import (
     identity_channel,
     problem_to_json,
     random_cp,
+    random_direction,
     report_to_dict,
+    run_probe,
     to_json,
     trace_channel,
 )
+import capax.holderlab
 from capax.cli import main
 from conftest import make_op
 
@@ -160,7 +163,7 @@ def test_scale_verb(capsys, trace_file):
     assert abs(payload["value"] - 2.0) <= 1e-9
 
 
-def test_probe_verb_writes_csv(capsys, tmp_path):
+def test_probe_verb_writes_csv(capsys, tmp_path, monkeypatch):
     op_path = tmp_path / "op.json"
     op_path.write_text(to_json(make_op(2, 2, 2, seed=31)))
     csv_path = tmp_path / "probe.csv"
@@ -184,6 +187,25 @@ def test_probe_verb_writes_csv(capsys, tmp_path):
     assert payload["samples"] == 5
     assert 0.99 <= payload["alpha"] <= 1.01
     assert csv_path.read_text().startswith("scale,dist,dcap")
+
+    # --tol reaches every capacity solve, and the fit is run_probe's at that tol.
+    tols = []
+    solve = capax.holderlab.cap_direct_pd
+
+    def spy(t, tol):
+        tols.append(tol)
+        return solve(t, tol=tol)
+
+    monkeypatch.setattr(capax.holderlab, "cap_direct_pd", spy)
+    code, out, _ = _run(capsys, ["probe", str(op_path), "--seed", "5", "--tol", "1e-9"])
+    assert code == 0
+    assert set(tols) == {1e-9}
+    payload = json.loads(out)
+    t = make_op(2, 2, 2, seed=31)
+    expected = run_probe(t, random_direction(t, rng=5), tol=1e-9)
+    assert payload["alpha"] == expected.fitted_alpha
+    assert payload["logC"] == expected.fitted_logc
+    assert payload["r2"] == expected.r_squared
 
 
 def test_probe_requires_seed(capsys, trace_file):

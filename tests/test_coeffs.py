@@ -203,7 +203,7 @@ def test_interpolate_default_grid_repeats_exactly():
     first, again = d_interpolate(t), d_interpolate(t)
     assert np.array_equal(first.values, again.values)
     assert first.fit_residual == again.fit_residual
-    grid = _default_grid(3, 3, 3, 0.7, 2027)[0]
+    grid = _default_grid(3, 3, 2027)[0]
     assert np.array_equal(d_interpolate(t, probe_grid=grid).values, first.values)
 
 

@@ -2,7 +2,6 @@ import numpy as np
 import pytest
 
 from capax import (
-    CapacityConfig,
     CompactFamily,
     CPOperator,
     DimensionMismatch,
@@ -124,7 +123,7 @@ def test_compact_family_respects_radius():
 
 def test_family_modulus_smoke():
     fam = CompactFamily(2, 2, 2, radius=2.0, seed=21)
-    summary = estimate_family_modulus(fam, pairs=6, config=CapacityConfig(tol=1e-9))
+    summary = estimate_family_modulus(fam, pairs=6, tol=1e-9)
     assert summary.samples.shape == (6, 2)
     assert summary.count == 6
     if summary.min_alpha is not None:
