@@ -6,8 +6,9 @@ definite X. Three routes are implemented:
 * ``cap_direct_pd``: rank tests for a common kernel and a singular T(I)
   (cap = 0), then one regularized Newton descent from X = I in the
   geodesic chart X^(1/2) exp(E) X^(1/2), where the objective is convex,
-  with the exact Hessian and an Armijo line search; the final gradient
-  decides NoConvergence;
+  with the exact Hessian and an Armijo line search, stopped on its Newton
+  decrement at tol; the final gradient decides NoConvergence. The probes
+  of holderlab start it from a nearby witness through _cap_direct;
 * ``cap_unitary_search``: the same rank tests and a shrunk-subspace test,
   then cap(T) = inf_U cap0(T_U) where cap0 restricts X to diagonal
   matrices and reduces to a weighted exponential sum, so the outer search
@@ -360,6 +361,9 @@ def _geodesic_terms(
 
 # The geodesic-chart Hessian is scale free with entries of order one: below
 # this, a shifted curvature is rounding, as along the flat directions of K = 1.
+# The floor is absolute, not eps cond(T_b(I)): runs out to infinity, on the
+# boundary bases and the rank-decreasing operators, stay accurate far past
+# that bound, and a floor there would stop them.
 _CURVATURE_FLOOR = 1e-12
 # The boundary base of the sqrt(eps) family takes 48 steps; an unattained
 # infimum shrinks the gradient by about e per step.
@@ -367,10 +371,11 @@ _NEWTON_MAX_STEPS = 100
 # Halvings of a refused step before the line search gives out.
 _MAX_BACKTRACKS = 30
 # Once the gradient norm is this small, a step that does not lower it ends
-# the descent.
+# the descent: the fallback for runs that rounding keeps from the decrement
+# test.
 _STALL_GRAD = 1e-6
 # Steps that stay this long (geodesic length) while the gradient falls
-# follow a minimizing sequence out to infinity.
+# under _STALL_GRAD follow a minimizing sequence out to infinity.
 _UNATTAINED_STEP = 0.1
 # On a rank-decreasing T without a common kernel or a singular image the
 # objective falls without bound as X runs off along a shrunk subspace. A
@@ -380,32 +385,43 @@ _DEGENERATE_DROP = 40.0
 
 
 def _newton_descent(
-    a: np.ndarray, basis: np.ndarray
+    a: np.ndarray, basis: np.ndarray, tol: float, r: np.ndarray | None = None
 ) -> tuple[float, np.ndarray, float, int, float]:
-    """Regularized Newton descent on the stack a from X = R R* = I, each
-    step taken in the geodesic chart at the current point: R moves to
+    """Regularized Newton descent on the stack a from X = R R*, R = r or I,
+    each step taken in the geodesic chart at the current point: R moves to
     R exp(S/2).
 
     The step is S = -(H+ + |g| I)^-1 g, with H+ the Hessian whose negative
     curvatures are clipped to 0 (Mishchenko, "Regularized Newton method with
     global O(1/k^2) convergence", 2021); an eigen-direction whose shifted
     curvature is at most _CURVATURE_FLOOR is left out, so a zero gradient
-    gives a zero step, not 0/0. An Armijo line search halves S until the
-    value falls by 1e-4 of the predicted decrease, less twice the rounding
-    of both values; a non-finite trial value is refused. The descent ends
-    when the line search gives out, or when a step no longer lowers a
-    gradient norm of at most _STALL_GRAD. Returns the value, R, the gradient
-    norm, the number of steps kept and the length of the last one. Raises
-    _Degenerate when the value falls _DEGENERATE_DROP below its start.
+    gives a zero step, not 0/0. The descent stops before the line search
+    once the Newton decrement lambda^2 = -g.S is at most 2 tol^2 (Boyd and
+    Vandenberghe, Convex Optimization, 9.5.1): the gap to the minimum is
+    then about lambda^2 / 2 <= tol^2, so log cap is accurate to tol, and the
+    last evaluation is the one reported. An Armijo line search halves S
+    until the value falls by 1e-4 of the predicted decrease, less twice the
+    rounding of both values; a non-finite trial value is refused. As a
+    fallback for runs that rounding keeps from the decrement test, the
+    descent also ends when the line search gives out, or when a step no
+    longer lowers a gradient norm of at most _STALL_GRAD. Returns the value,
+    R, the gradient norm, the number of steps kept and the length of the
+    last one. Raises _Degenerate when the value falls _DEGENERATE_DROP below
+    its value at X = I, whatever the start.
     """
-    f, err, grad, hess = _geodesic_terms(a, basis)
-    r, f_floor = np.eye(a.shape[2], dtype=complex), f - _DEGENERATE_DROP
+    r = np.eye(a.shape[2], dtype=complex) if r is None else r
+    f, err, grad, hess = _geodesic_terms(a @ r, basis)
+    # the floor is measured from f(I) = (1/m) log det T(I) whatever the start
+    t_i = (a @ a.conj().transpose(0, 2, 1)).sum(axis=0)
+    f_floor = np.linalg.slogdet(t_i)[1] / a.shape[1] - _DEGENERATE_DROP
     grad_norm, steps, last = float(np.linalg.norm(grad)), 0, 0.0
     while steps < _NEWTON_MAX_STEPS:
         w, v = np.linalg.eigh(hess)
         shifted = np.maximum(w, 0.0) + grad_norm
         keep = shifted > _CURVATURE_FLOOR
         step = -v[:, keep] @ ((v[:, keep].T @ grad) / shifted[keep])
+        if -float(grad @ step) <= 2 * tol * tol:
+            break
         decrease = 1e-4 * float(grad @ step)
         for _ in range(_MAX_BACKTRACKS):
             r_next = r @ expm_hermitian(np.tensordot(0.5 * step, basis, axes=1))
@@ -436,25 +452,39 @@ def cap_direct_pd(t: CPOperator, tol: float = 1e-9) -> CapacityReport:
     geodesically convex, so the one start at X = I reaches the value that
     any other start would. Degeneracy is also declared when the objective
     falls more than _DEGENERATE_DROP below its value at X = I, as it does on
-    the other rank-decreasing operators. The residual is the final geodesic
-    gradient norm; NoConvergence marks a residual above max(tol, 1e-8), and
-    InfimumNotAttained a run whose steps kept a length above
-    _UNATTAINED_STEP to the end, the sign of an infimum approached but not
-    attained. The iterations count Newton steps.
+    the other rank-decreasing operators. tol is the accuracy asked of
+    log cap: the descent stops once its Newton decrement lambda^2 is at most
+    2 tol^2. The residual is the final geodesic gradient norm; NoConvergence
+    marks a residual above max(tol, 1e-8), and InfimumNotAttained a run
+    whose steps kept a length above _UNATTAINED_STEP to the end while the
+    gradient fell under _STALL_GRAD, the sign of an infimum approached but
+    not attained. The iterations count Newton steps.
+    """
+    return _cap_direct(t, tol)[0]
+
+
+def _cap_direct(
+    t: CPOperator, tol: float, start: np.ndarray | None = None
+) -> tuple[CapacityReport, np.ndarray | None]:
+    """cap_direct_pd with the descent started from X = R R*, R = start (I by
+    default), and the final R, None for a Degenerate report. A start near
+    the minimizer saves steps and, the objective being geodesically convex,
+    reaches the same value; the Degenerate floor stays measured from X = I.
     """
     a = t._kraus_stack
     degenerate = CapacityReport(0.0, Method.DIRECT_PD, 0.0, 0, None, ("Degenerate",))
     if _common_kernel(a) or _singular_image(a):
-        return degenerate
+        return degenerate, None
     try:
-        f, r, grad_norm, steps, last = _newton_descent(a, _herm_basis(t.n))
+        f, r, grad_norm, steps, last = _newton_descent(a, _herm_basis(t.n), tol, start)
     except _Degenerate:
-        return degenerate
+        return degenerate, None
     flags = ("NoConvergence",) if grad_norm > max(tol, 1e-8) else ()
-    if last > _UNATTAINED_STEP:
+    if last > _UNATTAINED_STEP and grad_norm <= _STALL_GRAD:
         flags = ("InfimumNotAttained",) + flags
     x = hermitian_part(r @ r.conj().T)
-    return CapacityReport(float(np.exp(f)), Method.DIRECT_PD, grad_norm, steps, {"x": x}, flags)
+    report = CapacityReport(float(np.exp(f)), Method.DIRECT_PD, grad_norm, steps, {"x": x}, flags)
+    return report, r
 
 
 def _unitary_expand(h: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:

@@ -289,6 +289,31 @@ def test_direct_sqrt_eps_family(eps):
     assert report.flags == ()
 
 
+def _ladder(n: int) -> CPOperator:
+    """Rank-one E_ij over the support of triu(J_n), the n x n upper
+    triangle; _boundary_kraus() is n = 2. The support has a perfect matching
+    but not total support, so cap = 1 is approached only as X runs off to
+    infinity."""
+    units = []
+    for i in range(n):
+        for j in range(i, n):
+            e = np.zeros((n, n), dtype=complex)
+            e[i, j] = 1.0
+            units.append(e)
+    return CPOperator(tuple(units))
+
+
+@pytest.mark.filterwarnings("ignore:CP operator with n=")
+@pytest.mark.parametrize("n", [2, 3, 4, 5])
+def test_direct_ladder_bases_are_flagged_unattained(n):
+    """The descent stops on its Newton decrement while the steps along the
+    unattained direction are still long, so every ladder base is flagged,
+    n = 3 and 4 included, and the value stays within 1e-10 of 1."""
+    report = cap_direct_pd(_ladder(n))
+    assert abs(report.value - 1.0) <= 1e-10
+    assert report.flags == ("InfimumNotAttained",)
+
+
 def test_direct_single_kraus_closed_form():
     """K = 1 and n = m: det T(X) = |det A|^2 det X, so every X is a minimizer
     and the objective is flat; cap = |det A|^(2/n)."""
@@ -410,6 +435,31 @@ def test_direct_zero_capacity_corpora_are_degenerate():
             assert report.flags == ("Degenerate",)
 
 
+def test_direct_warm_start_keeps_the_floor_at_the_identity():
+    """A warm start on a rank-decreasing operator still reads Degenerate.
+    The _DEGENERATE_DROP floor is measured from X = I, not from the start:
+    a start whose value lies more than the drop above the minimum of a
+    generic operator, where a floor measured from the start would read
+    Degenerate, reaches the cold value unflagged."""
+    corpus = [_rank_decreasing(n, seed) for n in (3, 4) for seed in range(20)]
+    corpus += [_rank_decreasing_rectangular(seed) for seed in range(5)]
+    for t in corpus:
+        h = random_hermitian(t.n, 3)  # traceless below, so det R R* = 1
+        start = expm_hermitian(0.5 * (h - np.trace(h).real / t.n * np.eye(t.n)))
+        report, r = capax.capacity._cap_direct(t, 1e-10, start)
+        assert report.flags == ("Degenerate",) and r is None
+    for seed in (1, 2, 3):
+        t = make_op(2, 2, 2, seed=seed)
+        cold = cap_direct_pd(t, tol=1e-10)
+        start = expm_hermitian(np.diag([22.5, -22.5]).astype(complex))
+        start_value = _geodesic_terms(t._kraus_stack @ start, _herm_basis(2))[0]
+        assert start_value - math.log(cold.value) > capax.capacity._DEGENERATE_DROP
+        report, r = capax.capacity._cap_direct(t, 1e-10, start)
+        assert report.flags == ()
+        assert abs(report.value - cold.value) <= 1e-13 * cold.value
+        assert_allclose(hermitian_part(r @ r.conj().T), report.witness["x"], atol=0)
+
+
 def test_shrunk_subspace_test_passes_rank_non_decreasing_operators():
     """Generic operators, square with K = 1 included and rectangular, and the
     boundary operator, whose capacity 1 is not attained, have no shrunk
@@ -478,6 +528,35 @@ def test_direct_criterion_06_corpus_converges_in_few_evaluations(monkeypatch):
         assert report.residual <= 1e-8
     assert calls["_geodesic_terms"] >= 30
     assert calls["_geodesic_terms"] / 30 < 78.5 / 2
+
+
+def test_direct_keeps_its_last_evaluation(monkeypatch):
+    """The descent stops on its Newton decrement before a trial step, so no
+    evaluation is thrown away but the refused halvings: per solve,
+    evaluations = kept steps + refused halvings + 1, and the value is the one
+    of the last evaluation. A halving is a trial whose chart step is exactly
+    half the one before."""
+    values, steps = [], []
+    real_terms, real_expm = capax.capacity._geodesic_terms, capax.capacity.expm_hermitian
+
+    def counting(*args):
+        terms = real_terms(*args)
+        values.append(terms[0])
+        return terms
+
+    def recording(h):
+        steps.append(h)
+        return real_expm(h)
+
+    monkeypatch.setattr(capax.capacity, "_geodesic_terms", counting)
+    monkeypatch.setattr(capax.capacity, "expm_hermitian", recording)
+    for t in _criterion_06_corpus():
+        values.clear()
+        steps.clear()
+        report = cap_direct_pd(t)
+        refused = sum(np.array_equal(b, 0.5 * a) for a, b in zip(steps, steps[1:]))
+        assert len(values) == report.iterations + refused + 1
+        assert report.value == float(np.exp(values[-1]))
 
 
 def test_scaling_identity_converges_immediately():

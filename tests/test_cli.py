@@ -190,16 +190,16 @@ def test_probe_verb_writes_csv(capsys, tmp_path, monkeypatch):
 
     # --tol reaches every capacity solve, and the fit is run_probe's at that tol.
     tols = []
-    solve = capax.holderlab.cap_direct_pd
+    solve = capax.holderlab._cap_direct
 
-    def spy(t, tol):
+    def spy(t, tol, start=None):
         tols.append(tol)
-        return solve(t, tol=tol)
+        return solve(t, tol, start)
 
-    monkeypatch.setattr(capax.holderlab, "cap_direct_pd", spy)
+    monkeypatch.setattr(capax.holderlab, "_cap_direct", spy)
     code, out, _ = _run(capsys, ["probe", str(op_path), "--seed", "5", "--tol", "1e-9"])
     assert code == 0
-    assert set(tols) == {1e-9}
+    assert tols == [1e-9] * 12  # the base and the 11 default scales
     payload = json.loads(out)
     t = make_op(2, 2, 2, seed=31)
     expected = run_probe(t, random_direction(t, rng=5), tol=1e-9)

@@ -1,6 +1,11 @@
+import math
+
 import numpy as np
 import pytest
+from numpy.testing import assert_allclose
 
+import capax.capacity
+import capax.holderlab
 from capax import (
     CompactFamily,
     CPOperator,
@@ -69,6 +74,111 @@ def test_probe_deterministic_for_seed():
     r1 = run_probe(t, direction, scales=[0.25, 0.125, 0.0625])
     r2 = run_probe(t, direction, scales=[0.25, 0.125, 0.0625])
     assert r1.samples.tobytes() == r2.samples.tobytes()
+
+
+def test_probe_leaves_no_state():
+    """Each sweep chains its own solves from its own base: an unrelated solve
+    between two identical sweeps changes no bit of the second."""
+    t = make_op(2, 2, 2, seed=8)
+    direction = random_direction(t, rng=9)
+    first = run_probe(t, direction)
+    cap_direct_pd(make_op(2, 2, 2, seed=40), tol=1e-10)
+    second = run_probe(t, direction)
+    assert first.samples.tobytes() == second.samples.tobytes()
+    assert (first.fitted_alpha, first.r_squared) == (second.fitted_alpha, second.r_squared)
+
+
+def test_probe_rows_follow_the_callers_scale_order():
+    """The sweep runs in ascending scale whatever the order asked for, and
+    writes each row back at its scale's place."""
+    t = make_op(2, 3, 2, seed=12)
+    direction = random_direction(t, rng=13)
+    scales = 2.0 ** -np.arange(2, 9)
+    order = np.random.default_rng(14).permutation(len(scales))
+    ascending = run_probe(t, direction, scales=scales[::-1])
+    shuffled = run_probe(t, direction, scales=scales[order])
+    assert np.array_equal(shuffled.samples, ascending.samples[::-1][order])
+
+
+def test_probe_tol_is_the_accuracy_of_log_cap(monkeypatch):
+    """A looser tol stops every descent of the sweep sooner, on fewer
+    evaluations, with each log cap within tol of the tight run's and no flag
+    raised by stopping early."""
+    t = make_op(2, 2, 2, seed=31)
+    direction = random_direction(t, rng=5)
+    real_terms, real_solve = capax.capacity._geodesic_terms, capax.holderlab._cap_direct
+    calls, reports = [], []
+
+    def counting(*args):
+        calls.append(None)
+        return real_terms(*args)
+
+    def recording(op, tol, start=None):
+        solved = real_solve(op, tol, start)
+        reports.append(solved[0])
+        return solved
+
+    monkeypatch.setattr(capax.capacity, "_geodesic_terms", counting)
+    monkeypatch.setattr(capax.holderlab, "_cap_direct", recording)
+    runs = {}
+    for tol in (1e-2, 1e-10):
+        calls.clear()
+        reports.clear()
+        run_probe(t, direction, tol=tol)
+        runs[tol] = len(calls), list(reports)
+    assert runs[1e-2][0] < runs[1e-10][0]
+    for loose, tight in zip(runs[1e-2][1], runs[1e-10][1]):
+        assert abs(math.log(loose.value) - math.log(tight.value)) <= 1e-2
+        assert loose.flags == tight.flags == ()
+
+
+def _probe_family_items(seed: int, count: int):
+    """The inputs of the probe-family benchmark: probe item i perturbs the
+    i-th panel operator (seed 6200) along a direction drawn from (seed, i);
+    every fifth item is a family sweep of 12 pairs."""
+    shapes = ((2, 2, 2), (2, 3, 2), (2, 2, 3), (2, 3, 3))
+    for i in range(count):
+        if i % 5 == 4:
+            yield "family", [seed, i]
+            continue
+        family = CompactFamily(*shapes[i % 5], radius=2.0, seed=42)
+        base = family.sample(np.random.default_rng(np.random.SeedSequence(6200, spawn_key=(i,))))
+        rng = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(i,)))
+        yield base, random_direction(base, rng)
+
+
+@pytest.mark.parametrize("seed", [6200, 16200])
+def test_warm_started_sweeps_and_pairs_match_cold_solves(monkeypatch, seed):
+    """Sweeps chained from the base witness and pairs started from the first
+    operator's witness give the capacity differences of solves from X = I
+    to 1e-13, with the same flags on every solve, on probe-family items
+    0-59."""
+    real_solve = capax.holderlab._cap_direct
+    family = CompactFamily(2, 2, 2, radius=2.0, seed=42)
+
+    def results(warm: bool):
+        flags = []
+
+        def solve(op, tol, start=None):
+            solved = real_solve(op, tol, start if warm else None)
+            flags.append(solved[0].flags)
+            return solved
+
+        monkeypatch.setattr(capax.holderlab, "_cap_direct", solve)
+        dcaps = []
+        for base, direction in _probe_family_items(seed, 60):
+            if isinstance(base, str):
+                summary = estimate_family_modulus(family, pairs=12, seed=direction)
+                dcaps.append(summary.samples[:, 1])
+            else:
+                dcaps.append(run_probe(base, direction).samples[:, 2])
+        return np.concatenate(dcaps), flags
+
+    warm_dcaps, warm_flags = results(True)
+    cold_dcaps, cold_flags = results(False)
+    assert len(warm_flags) == 48 * 12 + 12 * 24
+    assert warm_flags == cold_flags
+    assert_allclose(warm_dcaps, cold_dcaps, rtol=0, atol=1e-13)
 
 
 def test_probe_flags_degenerate_base():
