@@ -6,9 +6,9 @@ det(T(X))^(1/m) / det(X)^(1/n) over positive definite X. Restricting X to
 diagonal matrices turns the problem into minimizing a weighted sum of
 exponentials whose weights are the coefficients of det(T(diag(lam))), and
 the full capacity is recovered by searching over unitary conjugations.
-Alternating marginal scaling gives an independent route in the square
-case, and a probe harness measures how the capacity responds to small
-perturbations of the operator.
+Alternating marginal scaling gives an independent route, and a probe
+harness measures how the capacity responds to small perturbations of the
+operator.
 """
 from . import capacity, coeffs, cpop, errors, expsum, holderlab, linalg
 from .capacity import *

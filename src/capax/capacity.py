@@ -13,8 +13,9 @@ definite X. Three routes are implemented:
   then cap(T) = inf_U cap0(T_U) where cap0 restricts X to diagonal
   matrices and reduces to a weighted exponential sum, so the outer search
   runs over unitaries only;
-* ``cap_via_scaling``: alternate row and column marginal normalization
-  (square case only), accumulating determinant corrections.
+* ``cap_via_scaling``: the same three rank tests, then alternate row and
+  column marginal normalization, T(I) to I_m and T*(I) to (m/n) I_n,
+  accumulating determinant corrections.
 
 The direct route's Newton steps take value, gradient and Hessian from
 ``_geodesic_terms`` at the rebased stack A R, where X = R R*. The unitary
@@ -38,13 +39,7 @@ import numpy as np
 
 from .coeffs import _multiindex_table, d_leibniz
 from .cpop import CPOperator, apply
-from .errors import (
-    CapaxError,
-    NotSupported,
-    SingularEvaluation,
-    SingularMarginal,
-    SingularMatrix,
-)
+from .errors import SingularEvaluation, SingularMarginal, SingularMatrix
 from .expsum import ExpSumProblem, HullTag, PsiResult, psi_minimize
 from .linalg import eigh, expm_hermitian, hermitian_part
 
@@ -52,12 +47,10 @@ __all__ = [
     "Method",
     "CapacityConfig",
     "CapacityReport",
-    "ScalingState",
     "diag_problem",
     "cap0",
     "cap_direct_pd",
     "cap_unitary_search",
-    "scaling_step",
     "cap_via_scaling",
     "cap",
     "capacity_ratio",
@@ -167,25 +160,34 @@ def _shrunk_subspace(a: np.ndarray) -> bool:
     seeded random d x d M_k, d = n - 1. At that d it is nonsingular for
     generic M_k exactly when no such V exists (Derksen and Makam 2017).
 
-    An m x n T with m != n is tested through the square T (x) Phi of size
-    n m, Phi(Y) = tr(Y) I_n, whose Kraus operators are A_k (x) E_ij for the
-    n x m matrix units E_ij. If V is shrunk by T, then V (x) C^m is shrunk
-    by T (x) Phi: its image (sum_k A_k V) (x) C^n has dimension below
-    m dim V. If cap(T) > 0, T scales to a doubly stochastic operator
-    (Garg, Gurvits, Oliveira and Wigderson 2016), and the same scaling
-    tensored with identities takes T (x) Phi to m times a doubly stochastic
-    one, which shrinks no subspace.
+    An m x n T with m != n is tested through the square T (x) Phi of side
+    L = lcm(n, m), Phi: M_(L/n) -> M_(L/m), Phi(Y) = tr(Y) I_(L/m), whose
+    Kraus operators are A_k (x) E_ij for the (L/m) x (L/n) matrix units
+    E_ij. If V is shrunk by T, then V (x) C^(L/n) is shrunk by T (x) Phi:
+    its image (sum_k A_k V) (x) C^(L/m) has dimension below
+    (m/n) dim V L/m = dim V L/n. If cap(T) > 0, T scales to T' with
+    T'(I) = I_m and T'*(I) = (m/n) I_n (Garg, Gurvits, Oliveira and
+    Wigderson 2016), and the same scaling tensored with identities takes
+    T (x) Phi to L/n times a doubly stochastic operator, which shrinks no
+    subspace. Coprime n and m still give side n m.
     """
     k, m, n = a.shape
     if m != n:
-        units = np.eye(n * m).reshape(n * m, n, m)
-        a = np.einsum("kab,ecd->keacbd", a, units).reshape(k * n * m, m * n, n * m)
+        rows, cols = math.lcm(n, m) // m, math.lcm(n, m) // n
+        units = np.eye(rows * cols).reshape(rows * cols, rows, cols)
+        a = np.einsum("kab,ecd->keacbd", a, units).reshape(-1, m * rows, n * cols)
         k, m, n = a.shape
     if n == 1:
         return False
     z = np.random.default_rng(0).standard_normal((2, k, n - 1, n - 1))
     blow_up = np.einsum("kab,kcd->acbd", a, z[0] + 1j * z[1]).reshape(n * (n - 1), -1)
     return np.linalg.matrix_rank(blow_up) < n * (n - 1)
+
+
+def _zero_capacity(a: np.ndarray) -> bool:
+    """cap(T) = 0 for the raw stack a, decided by rank tests: a common
+    kernel, a singular T(I) or a shrunk subspace."""
+    return _common_kernel(a) or _singular_image(a) or _shrunk_subspace(a)
 
 
 def _diag_psi(t: CPOperator | np.ndarray, tol: float, max_iter: int = 200) -> PsiResult:
@@ -378,9 +380,11 @@ _STALL_GRAD = 1e-6
 # under _STALL_GRAD follow a minimizing sequence out to infinity.
 _UNATTAINED_STEP = 0.1
 # On a rank-decreasing T without a common kernel or a singular image the
-# objective falls without bound as X runs off along a shrunk subspace. A
-# fall below the value at X = I by a ratio of e^-40 (about 4e-18, under the
-# rounding of that value) is read as cap = 0.
+# objective falls without bound as X runs off along a shrunk subspace. On
+# the rank-decreasing test corpora the descent ends first, when
+# _geodesic_terms finds T_b(I) numerically singular; a fall below the value
+# at X = I by a ratio of e^-40 (about 4e-18, under the rounding of that
+# value) is the backstop that reads such a run as cap = 0.
 _DEGENERATE_DROP = 40.0
 
 
@@ -450,9 +454,11 @@ def cap_direct_pd(t: CPOperator, tol: float = 1e-9) -> CapacityReport:
     a kernel vector or T(I) is singular (_common_kernel, _singular_image):
     one SVD each, with a relative rank threshold. The objective is
     geodesically convex, so the one start at X = I reaches the value that
-    any other start would. Degeneracy is also declared when the objective
-    falls more than _DEGENERATE_DROP below its value at X = I, as it does on
-    the other rank-decreasing operators. tol is the accuracy asked of
+    any other start would. On the other rank-decreasing operators the
+    descent runs off along a shrunk subspace until _geodesic_terms finds
+    T_b(I) numerically singular, which is also reported as Degenerate; a
+    fall of the objective more than _DEGENERATE_DROP below its value at
+    X = I is the backstop for the same case. tol is the accuracy asked of
     log cap: the descent stops once its Newton decrement lambda^2 is at most
     2 tol^2. The residual is the final geodesic gradient norm; NoConvergence
     marks a residual above max(tol, 1e-8), and InfimumNotAttained a run
@@ -547,7 +553,7 @@ def cap_unitary_search(
     """
     a = t._kraus_stack
     degenerate = CapacityReport(0.0, Method.PSI_UNITARY, 0.0, 0, None, ("Degenerate",))
-    if _common_kernel(a) or _singular_image(a) or _shrunk_subspace(a):
+    if _zero_capacity(a):
         return degenerate
     dim = t.n * t.n - 1
     # Near a minimum the value error is about |grad|^2, so tol on the value
@@ -571,83 +577,68 @@ def cap_unitary_search(
     return report if converged else replace(report, flags=report.flags + ("NoConvergence",))
 
 
-@dataclass(frozen=True)
-class ScalingState:
-    """One snapshot of the alternating marginal normalization.
-
-    col_transform accumulates the right factors applied to the input side,
-    so X = R R* converts a balanced state back into a witness for the
-    original operator.
-    """
-
-    op: CPOperator
-    log_correction: float
-    step: int
-    row_residual: float
-    col_residual: float
-    col_transform: np.ndarray
-
-
-def _distance_from_identity(h: np.ndarray) -> float:
-    """Frobenius distance of h from I over sqrt(dimension)."""
+def _distance_from_scalar(h: np.ndarray, c: float) -> float:
+    """Frobenius distance of h from c I over sqrt(dimension)."""
     diff = h.copy()
-    diff.flat[:: len(h) + 1] -= 1.0
+    diff.flat[:: len(h) + 1] -= c
     return float(np.linalg.norm(diff)) / math.sqrt(len(h))
 
 
 def _marginals(a: np.ndarray) -> tuple[np.ndarray, np.ndarray, tuple[float, float]]:
     """Row and column marginals T(I) and T*(I) of the raw (K, m, n) stack a,
-    and their residuals. Both are sums of Gram matrices A_k A_k* and A_k* A_k,
-    Hermitian up to rounding; _scale symmetrizes the one it decomposes."""
+    and their residuals, the distances from the targets I_m and (m/n) I_n.
+    Both are sums of Gram matrices A_k A_k* and A_k* A_k, Hermitian up to
+    rounding; _scale symmetrizes the one it decomposes."""
+    _, m, n = a.shape
     ah = a.conj().transpose(0, 2, 1)
     q, p = (a @ ah).sum(axis=0), (ah @ a).sum(axis=0)
-    return q, p, (_distance_from_identity(q), _distance_from_identity(p))
+    return q, p, (_distance_from_scalar(q, 1.0), _distance_from_scalar(p, m / n))
 
 
 def _scale(a: np.ndarray, q: np.ndarray, p: np.ndarray, side: str):
-    """Normalize one marginal of the raw stack a, whose marginals are q, p.
+    """Normalize one marginal of the raw (K, m, n) stack a, whose marginals
+    are q, p, to its target.
 
-    Side "row" maps A_k to S A_k with S = q^(-1/2), side "col" maps A_k to
-    A_k S with S = p^(-1/2). Returns the new stack, the log-determinant
-    correction and S, both from one eigh of the marginal. SingularMarginal
-    is raised when its smallest eigenvalue is at most 1e-12 of its largest;
-    the gate is relative, so it does not depend on the scale of the data.
+    Side "row" maps A_k to S A_k with S = q^(-1/2), so that T(I) = I_m; the
+    other side maps A_k to A_k S with S = (n p / m)^(-1/2), so that
+    T*(I) = (m/n) I_n. Returns the new stack, the log-determinant
+    correction (1/dim) log det of the marginal so rescaled, and S, all from
+    one eigh of the marginal; the factor n/m multiplies its eigenvalues,
+    exactly 1 for square T. SingularMarginal is raised when the smallest
+    eigenvalue is at most 1e-12 of the largest; the gate is relative, so it
+    does not depend on the scale of the data.
     """
-    if side not in ("row", "col"):
-        raise CapaxError(f"unknown scaling side {side!r}")
-    h, dim, context = (q, a.shape[1], "row") if side == "row" else (p, a.shape[2], "column")
+    _, m, n = a.shape
+    h, c, dim, context = (q, 1.0, m, "row") if side == "row" else (p, n / m, n, "column")
     # One symmetrization, here: the eigenpairs then do not depend on which
     # triangle eigh reads, and S is symmetrized for the same reason.
     w, v = np.linalg.eigh(hermitian_part(h))
+    w = c * w
     if float(w[0]) <= 1e-12 * max(float(w[-1]), 1e-300):
         raise SingularMarginal(f"{context} marginal is numerically singular")
     s = hermitian_part((v * (w ** -0.5)) @ v.conj().T)
     return (s @ a if side == "row" else a @ s), float(np.sum(np.log(w))) / dim, s
 
 
-def scaling_step(state: ScalingState, side: str) -> ScalingState:
-    """Normalize one marginal (side "row" or "col") and track corrections."""
-    a = state.op._kraus_stack
-    a, gain, s = _scale(a, *_marginals(a)[:2], side)
-    col_t = state.col_transform @ s if side == "col" else state.col_transform
-    r_row, r_col = _marginals(a)[2]
-    log_corr = state.log_correction + gain
-    return ScalingState(CPOperator(tuple(a)), log_corr, state.step + 1, r_row, r_col, col_t)
-
-
 def cap_via_scaling(
     t: CPOperator, max_steps: int = 2000, residual_tol: float = 1e-8
 ) -> CapacityReport:
-    """Capacity through alternating marginal normalization (square case).
+    """Capacity through alternating marginal normalization, for every shape.
 
-    The determinant corrections accumulated along the way recover the
-    capacity of the original operator once both marginals are balanced;
-    the witness is exact for the reported value by construction. The loop
-    runs _scale on the raw Kraus stack and carries the marginals forward.
+    A common kernel, a singular T(I) or a shrunk subspace makes cap(T) = 0,
+    which the loop would only approach; the rank tests of the unitary route
+    (_zero_capacity) run once, up front, and report Degenerate. Otherwise
+    the loop runs _scale on the raw Kraus stack, carrying the marginals
+    forward, and alternately normalizes T(I) to I_m and T*(I) to
+    (m/n) I_n, the doubly stochastic form of an m x n operator (Garg,
+    Gurvits, Oliveira and Wigderson 2016). The determinant corrections
+    accumulated along the way recover the capacity of the original operator
+    once both marginals are balanced; the witness is exact for the reported
+    value by construction.
     """
-    if t.n != t.m:
-        raise NotSupported("marginal scaling needs square operators (n == m)")
     a = t._kraus_stack
+    if _zero_capacity(a):
+        return CapacityReport(0.0, Method.SCALING, 0.0, 0, None, ("Degenerate",))
     q, p, residuals = _marginals(a)
     log_corr, col_t, steps = 0.0, np.eye(t.n, dtype=complex), 0
     while max(residuals) > residual_tol and steps < max_steps:
@@ -680,7 +671,7 @@ def cap(t: CPOperator, config: CapacityConfig | None = None) -> CapacityReport:
         other = cap_unitary_search(t, tol=cfg.tol, restarts=cfg.restarts_unitary, seed=cfg.seed)
         cross["psi_unitary"] = other.value
         cross["psi_unitary_delta"] = abs(other.value - report.value)
-    if cfg.check_scaling and t.n == t.m:
+    if cfg.check_scaling:
         other = cap_via_scaling(t)
         cross["scaling"] = other.value
         cross["scaling_delta"] = abs(other.value - report.value)

@@ -254,7 +254,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_entropy.add_argument("--theta", help="comma separated moment target (default zero)")
     p_entropy.add_argument("--tol", type=float)
 
-    p_scale = sub.add_parser("scale", help="capacity by marginal scaling (square case)")
+    p_scale = sub.add_parser("scale", help="capacity by marginal scaling")
     p_scale.add_argument("operator")
     p_scale.add_argument("--max-steps", dest="max_steps", type=int)
     p_scale.add_argument("--residual-tol", dest="residual_tol", type=float)

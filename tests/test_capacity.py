@@ -11,7 +11,6 @@ from capax import (
     CompactFamily,
     CPOperator,
     Method,
-    NotSupported,
     SingularEvaluation,
     SingularMarginal,
     SingularMatrix,
@@ -22,7 +21,6 @@ from capax import (
     cap_via_scaling,
     capacity_ratio,
     diag_problem,
-    eigh,
     enumerate_multiindices,
     expm_hermitian,
     haar_unitary,
@@ -34,12 +32,10 @@ from capax import (
     random_hermitian,
     report_to_dict,
     report_to_json,
-    scaling_step,
     trace_channel,
 )
 import capax.capacity
 from capax.capacity import (
-    ScalingState,
     _CURVATURE_FLOOR,
     _diag_exponents,
     _MAX_BACKTRACKS,
@@ -47,7 +43,6 @@ from capax.capacity import (
     _geodesic_terms,
     _herm_basis,
     _logdet_kernel,
-    _marginals,
     _shrunk_subspace,
     _unitary_oracle,
 )
@@ -418,16 +413,17 @@ def _singular_image_corpus():
 def test_direct_zero_capacity_corpora_are_degenerate():
     """cap(T) = 0 exactly when T is rank decreasing (Gurvits 2004). Kraus
     operators with a common kernel (K m < n here) and operators whose T(I)
-    is singular (K n < m) are decided by rank tests on both routes. The
-    rank-decreasing operators without either, square or 2 x 4, fall through
-    the direct route's _DEGENERATE_DROP floor, and the unitary route's
-    shrunk-subspace test decides them."""
+    is singular (K n < m) are decided by rank tests on every route. The
+    rank-decreasing operators without either, square or 2 x 4, are decided
+    by the shrunk-subspace test on the unitary and scaling routes; on the
+    direct route the descent ends when _geodesic_terms finds T_b(I)
+    numerically singular, with the _DEGENERATE_DROP floor as a backstop."""
     shapes = [(2, 1, 1), (3, 1, 2), (4, 1, 3), (5, 2, 2), (7, 3, 2), (3, 2, 1)]
     corpus = [random_cp(n, m, k, rng=seed) for n, m, k in shapes for seed in range(10)]
     corpus += _singular_image_corpus()
     corpus += [_rank_decreasing(n, seed) for n in (3, 4) for seed in range(20)]
     corpus += [_rank_decreasing_rectangular(seed) for seed in range(5)]
-    for route in (cap_direct_pd, cap_unitary_search):
+    for route in (cap_direct_pd, cap_unitary_search, cap_via_scaling):
         for t in corpus:
             with np.errstate(all="raise"):
                 report = route(t)
@@ -588,42 +584,17 @@ def test_scaling_witness_is_exact():
     assert abs(ratio - report.value) <= 1e-10 * max(report.value, 1.0)
 
 
-def test_scaling_requires_square():
-    with pytest.raises(NotSupported):
-        cap_via_scaling(make_op(2, 3, 2, seed=5))
-
-
-def test_scaling_step_reduces_residual():
-    t = make_op(2, 2, 2, seed=6)
-    _, _, (r_row, r_col) = _marginals(t._kraus_stack)
-    state = ScalingState(t, 0.0, 0, r_row, r_col, np.eye(2, dtype=complex))
-    stepped = scaling_step(state, "row")
-    assert stepped.row_residual <= 1e-10  # the row marginal is now exactly balanced
-    assert stepped.step == 1
-
-
-def test_scaling_steps_reproduce_the_loop():
-    """Public scaling_step calls from t retrace cap_via_scaling exactly."""
-    t = make_op(3, 3, 2, seed=19)
-    report = cap_via_scaling(t)
-    _, _, (r_row, r_col) = _marginals(t._kraus_stack)
-    state = ScalingState(t, 0.0, 0, r_row, r_col, np.eye(3, dtype=complex))
-    while max(state.row_residual, state.col_residual) > 1e-8 and state.step < 2000:
-        state = scaling_step(state, ("row", "col")[state.step % 2])
-    assert state.step == report.iterations > 0
-    assert max(state.row_residual, state.col_residual) == report.residual
-    w, _ = eigh(apply(state.op, np.eye(3)))
-    assert float(np.exp(state.log_correction + np.sum(np.log(w)) / 3)) == report.value
-    r = state.col_transform
-    assert np.array_equal(hermitian_part(r @ r.conj().T), report.witness["x"])
-
-
 @pytest.mark.parametrize("scale", [1e-8, 1e8])
-@pytest.mark.parametrize("n,k", [(2, 1), (2, 2), (3, 2)])
-def test_scaling_agrees_with_direct_at_extreme_scales(n, k, scale):
+@pytest.mark.parametrize(
+    "n,m,k",
+    [(2, 2, 1), (2, 2, 2), (3, 3, 2), (2, 3, 2), (3, 2, 2)],
+    ids=["2-1", "2-2", "3-2", "2x3-2", "3x2-2"],
+)
+def test_scaling_agrees_with_direct_at_extreme_scales(n, m, k, scale):
     """The singular-marginal gate is relative, so Kraus entries of order
-    1e-8 (marginals of order 1e-16) or 1e8 scale like any others."""
-    base = make_op(n, n, k, seed=40 + 10 * n + k)
+    1e-8 (marginals of order 1e-16) or 1e8 scale like any others, square or
+    not."""
+    base = make_op(n, m, k, seed=40 + 10 * n + k)
     t = CPOperator(tuple(scale * a for a in base.kraus))
     direct = cap_direct_pd(t)
     scaled = cap_via_scaling(t)
@@ -634,8 +605,14 @@ def test_scaling_agrees_with_direct_at_extreme_scales(n, k, scale):
 
 
 def test_scaling_singular_marginal_raises():
+    """A marginal whose eigenvalues span more than 1e12 stops the loop; an
+    exactly singular one is a common kernel, which the rank tests report as
+    Degenerate before the loop."""
     with pytest.raises(SingularMarginal):
-        cap_via_scaling(CPOperator((np.diag([1.0, 0.0]).astype(complex),)))
+        cap_via_scaling(CPOperator((np.diag([1.0, 1e-7]).astype(complex),)))
+    report = cap_via_scaling(CPOperator((np.diag([1.0, 0.0]).astype(complex),)))
+    assert report.value == 0.0
+    assert report.flags == ("Degenerate",)
 
 
 def test_unitary_search_matches_direct():
@@ -682,6 +659,28 @@ def test_unitary_search_matches_direct_non_square():
     assert abs(searched.value - direct) <= 1e-6 * direct
     assert searched.flags == ()
     assert abs(capacity_ratio(t, searched.witness["x"]) - searched.value) <= 1e-8 * direct
+
+
+def test_scaling_matches_direct_on_every_shape():
+    """Scaling T(I) to I_m and T*(I) to (m/n) I_n gives the direct value,
+    unflagged, with a witness whose ratio is the value; the operators the
+    direct route reads as Degenerate (every (3, 5, 2) here) read so on this
+    route too, and cap cross-checks scaling whatever the shape."""
+    shapes = [(2, 3, 2), (3, 2, 2), (2, 4, 3), (4, 2, 2), (3, 4, 2), (4, 3, 3), (3, 5, 2)]
+    shapes += [(2, 2, 2), (3, 3, 2)]
+    for n, m, k in shapes:
+        for seed in range(10):
+            t = random_cp(n, m, k, rng=seed)
+            direct, scaled = cap_direct_pd(t), cap_via_scaling(t)
+            if direct.flags == ("Degenerate",):
+                assert scaled.flags == ("Degenerate",) and scaled.value == 0.0
+                continue
+            assert direct.flags == () and scaled.flags == ()
+            assert abs(scaled.value - direct.value) <= 1e-9 * direct.value
+            ratio = capacity_ratio(t, scaled.witness["x"])
+            assert abs(ratio - scaled.value) <= 1e-10 * scaled.value
+    report = cap(make_op(2, 3, 2, seed=9), CapacityConfig(check_scaling=True))
+    assert report.cross_checks["scaling_delta"] <= 1e-9 * report.value
 
 
 def test_unitary_search_boundary_base():

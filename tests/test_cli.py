@@ -7,6 +7,7 @@ from capax import (
     CapacityConfig,
     cap,
     cap_unitary_search,
+    cap_via_scaling,
     diag_problem,
     identity_channel,
     problem_to_json,
@@ -161,6 +162,22 @@ def test_scale_verb(capsys, trace_file):
     payload = json.loads(out)
     assert payload["method"] == "scaling"
     assert abs(payload["value"] - 2.0) <= 1e-9
+
+
+def test_scale_and_check_scaling_take_a_rectangular_operator(capsys, tmp_path):
+    """A 2 x 3 operator: scale prints the scaling report and exits 0, and
+    cap --check-scaling carries the scaling cross-check."""
+    t = make_op(2, 3, 2, seed=9)
+    path = tmp_path / "op.json"
+    path.write_text(to_json(t))
+    code, out, err = _run(capsys, ["scale", str(path)])
+    assert code == 0 and err == ""
+    assert out == json.dumps(report_to_dict(cap_via_scaling(t)), sort_keys=True) + "\n"
+    code, out, _ = _run(capsys, ["cap", str(path), "--check-scaling"])
+    assert code == 0
+    expected = cap(t, CapacityConfig(check_scaling=True))
+    assert out == json.dumps(report_to_dict(expected), sort_keys=True) + "\n"
+    assert "scaling_delta" in json.loads(out)["cross_checks"]
 
 
 def test_probe_verb_writes_csv(capsys, tmp_path, monkeypatch):

@@ -39,8 +39,8 @@ print(seen)
 
 
 def test_import_and_scipy_free_verbs_leave_scipy_unloaded(tmp_path):
-    """import capax and the coeffs, cap0, psi, entropy and cap verbs on a
-    generic operator (whose diagonal problem is interior) load neither
+    """import capax and the coeffs, cap0, psi, entropy, scale and cap verbs
+    on a generic operator (whose diagonal problem is interior) load neither
     scipy.optimize nor scipy.linalg."""
     t = capax.random_cp(2, 2, 2, scale=0.5, rng=np.random.default_rng(4100))
     op, problem = tmp_path / "op.json", tmp_path / "problem.json"
@@ -51,6 +51,7 @@ def test_import_and_scipy_free_verbs_leave_scipy_unloaded(tmp_path):
         ["cap0", str(op)],
         ["psi", str(problem)],
         ["entropy", str(problem)],
+        ["scale", str(op)],
         ["cap", str(op)],
     ]
     src = os.path.dirname(os.path.dirname(capax.__file__))
