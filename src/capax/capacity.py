@@ -17,12 +17,14 @@ definite X. Three routes are implemented:
   column marginal normalization, T(I) to I_m and T*(I) to (m/n) I_n,
   accumulating determinant corrections.
 
-The direct route's Newton steps take value, gradient and Hessian from
-``_geodesic_terms`` at the rebased stack A R, where X = R R*. The unitary
-route evaluates log det T(X) and its gradient G = T*(T(X)^-1) through
-``_logdet_kernel`` on the raw Kraus stack, in BFGS restarts
-(``_bfgs_restarts``), the only use of scipy.optimize here. The scaling
-route also iterates on the raw stack, carrying both marginals forward.
+One kernel, ``_whiten``, serves all three routes: it eigendecomposes a
+marginal T_b(I) of a Kraus stack b, giving (1/m) log det T_b(I), and
+whitens the stack so that its marginal becomes I. The direct route's Newton
+steps take value, gradient and Hessian from ``_geodesic_terms`` on the
+whitened stack A R, where X = R R*. The unitary route whitens A U D^(1/2)
+for the gradient G = T*(T(X)^-1) of its BFGS restarts, the only use of
+scipy.optimize here. The scaling route whitens T(I) and (n/m) T*(I) in
+turn, the column step being the row step on the adjoint stack.
 
 All routes return a CapacityReport carrying the value, a witness when one
 exists, solver residuals, and flags for degenerate or non-converged runs.
@@ -272,58 +274,26 @@ def _exp_divided_differences(w: np.ndarray) -> np.ndarray:
     return np.exp(0.5 * (w[:, None] + w[None, :])) * ratio
 
 
-def _logdet_kernel(a: np.ndarray, x: np.ndarray) -> tuple[float, np.ndarray]:
-    """log det T(X) and G = T*(T(X)^-1) for the raw (K, m, n) Kraus stack a.
-    Raises _Degenerate when T(X) is singular."""
-    ah = a.conj().transpose(0, 2, 1)
-    wt, vt = eigh((a @ x @ ah).sum(axis=0))
-    if wt.min(initial=1.0) <= 0:
-        raise _Degenerate
-    g = (ah @ ((vt / wt) @ vt.conj().T) @ a).sum(axis=0)
-    return float(np.sum(np.log(wt))), hermitian_part(g)
+def _gram(b: np.ndarray) -> np.ndarray:
+    """The marginal T_b(I) = sum_k B_k B_k* of the (K, m, n) stack b; the
+    adjoint stack b* gives T_b*(I)."""
+    return (b @ b.conj().transpose(0, 2, 1)).sum(axis=0)
 
 
-class _NotInterior(Exception):
-    """Internal signal: no gradient here; args are the value and coordinates."""
-
-
-def _bfgs_restarts(oracle, n: int, starts: list, options: dict) -> tuple[tuple | None, int]:
-    """BFGS from each start over traceless Hermitian H = sum_i v_i B_i, with
-    B = _herm_basis(n); the lowest final value wins.
-
-    oracle(H) returns the value and the Hermitian gradient M, with
-    d/ds f(H + sE) = Re tr(M E), or None for M where there is no gradient: a
-    restart that reaches such a point stops there, counted as converged.
-    Returns ((value, H, converged) of the winner, or None when the oracle
-    raised _Degenerate; oracle calls).
+def _whiten(gram: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Eigenvalues w of the Hermitian marginal gram and F = V diag(w)^(-1/2),
+    so that F* gram F = I: the stack F* b has marginal I, and
+    sum(log w) = log det gram. The one eigendecomposition of a marginal
+    under every capacity route. Raises _Degenerate when gram is not finite,
+    so that its eigenvalues are never asked of a non-finite matrix, or when
+    it is singular, w[0] <= 0.
     """
-    dim = n * n - 1
-    basis = _herm_basis(n)
-    flat_basis = basis.reshape(dim, n * n).conj()
-    evals = 0
-
-    def objective(v: np.ndarray) -> tuple[float, np.ndarray]:
-        nonlocal evals
-        evals += 1
-        val, grad = oracle(np.tensordot(v, basis, axes=1))
-        if grad is None:
-            raise _NotInterior(val, v.copy())
-        return val, (flat_basis @ grad.reshape(n * n)).real
-
-    best = (math.inf, np.zeros(dim), True)
-    try:
-        for v0 in starts if dim else ():  # n = 1: nothing to search
-            try:
-                res = minimize(objective, v0, jac=True, method="BFGS", options=options)
-                found = (float(res.fun), res.x, bool(res.success))
-            except _NotInterior as stop:
-                found = (*stop.args, True)
-            if found[0] < best[0]:
-                best = found
-    except _Degenerate:
-        return None, evals
-    f, v, ok = best
-    return (f, np.tensordot(v, basis, axes=1), ok), evals
+    if not np.isfinite(gram).all():
+        raise _Degenerate
+    w, v = eigh(gram)
+    if w[0] <= 0:
+        raise _Degenerate
+    return w, v / np.sqrt(w)
 
 
 def _geodesic_terms(
@@ -337,24 +307,20 @@ def _geodesic_terms(
     objective in the geodesic chart at X = R R*, where f is convex. With
     Q = T_b(I)^-1 the gradient is Re tr(Q T_b(E)) / m and the Hessian
     (Re tr(Q T_b(EF)) - Re tr(Q T_b(E) Q T_b(F))) / m, computed from
-    P_i = Q^(1/2) T_b(B_i) Q^(1/2) and T_b*(Q). The value's rounding error
-    is taken as eps sum_i (w_max / w_i + |log w_i|) / m over the eigenvalues
-    w of T_b(I): each w_i off by eps w_max, and each logarithm off by eps of
-    itself. Raises _Degenerate when T_b(I) is singular or not finite, so
-    that its eigenvalues are never asked of a non-finite matrix.
+    P_i = Q^(1/2) T_b(B_i) Q^(1/2) and T_b*(Q), with Q^(1/2) b taken, up to
+    a unitary, as the whitened stack C = F* b of _whiten. The value's
+    rounding error is taken as eps sum_i (w_max / w_i + |log w_i|) / m over
+    the eigenvalues w of T_b(I): each w_i off by eps w_max, and each
+    logarithm off by eps of itself. Raises _Degenerate, through _whiten,
+    when T_b(I) is singular or not finite.
     """
     m = b.shape[1]
-    gram = (b @ b.conj().transpose(0, 2, 1)).sum(axis=0)
-    if not np.isfinite(gram).all():
-        raise _Degenerate
-    wt, vt = eigh(gram)
-    if wt[0] <= 0:
-        raise _Degenerate
-    c = (vt.conj().T / np.sqrt(wt)[:, None]) @ b  # Q^(1/2) b up to a unitary
+    wt, f = _whiten(_gram(b))
+    c = f.conj().T @ b
     ch = c.conj().transpose(0, 2, 1)
     p = np.einsum("kab,ibc,kcd->iad", c, basis, ch)
     flat = p.reshape(len(basis), m * m)  # n = 1: no directions, an empty chart
-    first = np.einsum("ab,ibc,jca->ij", (ch @ c).sum(axis=0), basis, basis).real
+    first = np.einsum("ab,ibc,jca->ij", _gram(ch), basis, basis).real
     hess = (first - (flat @ flat.conj().T).real) / m
     logs = np.log(wt)
     err = float(np.finfo(float).eps * np.sum(wt[-1] / wt + np.abs(logs))) / m
@@ -416,8 +382,7 @@ def _newton_descent(
     r = np.eye(a.shape[2], dtype=complex) if r is None else r
     f, err, grad, hess = _geodesic_terms(a @ r, basis)
     # the floor is measured from f(I) = (1/m) log det T(I) whatever the start
-    t_i = (a @ a.conj().transpose(0, 2, 1)).sum(axis=0)
-    f_floor = np.linalg.slogdet(t_i)[1] / a.shape[1] - _DEGENERATE_DROP
+    f_floor = np.linalg.slogdet(_gram(a))[1] / a.shape[1] - _DEGENERATE_DROP
     grad_norm, steps, last = float(np.linalg.norm(grad)), 0, 0.0
     while steps < _NEWTON_MAX_STEPS:
         w, v = np.linalg.eigh(hess)
@@ -509,9 +474,10 @@ def _unitary_oracle(
     theorem the inner minimizer y* stays fixed, so with D = diag(exp y*) and
     G = T*(T(X)^-1) at X = U D U*, dg = (2/m) Re tr(D U* G dU), and dU is
     V (L o V* i dH V) V* with L the divided differences of exp(i.) at the
-    eigenvalues of H = V diag(w) V*. U* G U is the kernel's G for the stack
-    A U at D. Z is None when the infimum is not attained, where g has no
-    gradient.
+    eigenvalues of H = V diag(w) V*. U* G U is G for the stack B = A U at D:
+    the stack C = F* B D^(1/2), whitened by _whiten, has sum_k C_k* C_k =
+    D^(1/2) U* G U D^(1/2), so D U* G U = D^(1/2) (sum_k C_k* C_k) D^(-1/2).
+    Z is None when the infimum is not attained, where g has no gradient.
     """
     m = a.shape[1]
     u, w, vec = _unitary_expand(h)
@@ -520,15 +486,21 @@ def _unitary_oracle(
     value = math.log(res.value) / m
     if res.classification.tag is not HullTag.INTERIOR_ZERO:
         return value, None
-    e = np.exp(res.minimizer)
-    gu = _logdet_kernel(b, np.diag(e))[1]  # U* G U
+    root = np.exp(0.5 * res.minimizer)  # D^(1/2)
+    c = b * root
+    c = _whiten(_gram(c))[1].conj().T @ c
+    dgu = _gram(c.conj().transpose(0, 2, 1)) * (root[:, None] / root)  # D U* G U
     gamma = 1j * _exp_divided_differences(1j * w)  # divided differences of exp(i.)
-    inner = (vec.conj().T @ (e[:, None] * gu) @ u.conj().T @ vec) * gamma.T
+    inner = (vec.conj().T @ dgu @ u.conj().T @ vec) * gamma.T
     return value, (2.0 / m) * (vec @ inner @ vec.conj().T)
 
 
 _SEARCH_TOL = 1e-8  # Psi tolerance per search evaluation; the winner is re-solved at _PSI_TOL
 _PSI_TOL = 1e-10
+
+
+class _NotInterior(Exception):
+    """Internal signal: no gradient here; args are the value and coordinates."""
 
 
 def cap_unitary_search(
@@ -555,26 +527,41 @@ def cap_unitary_search(
     degenerate = CapacityReport(0.0, Method.PSI_UNITARY, 0.0, 0, None, ("Degenerate",))
     if _zero_capacity(a):
         return degenerate
-    dim = t.n * t.n - 1
+    n, dim = t.n, t.n * t.n - 1
+    basis = _herm_basis(n)
+    flat_basis = basis.reshape(dim, n * n).conj()
+    evals = 0
+
+    def objective(v: np.ndarray) -> tuple[float, np.ndarray]:
+        nonlocal evals
+        evals += 1
+        val, grad = _unitary_oracle(a, np.tensordot(v, basis, axes=1), _SEARCH_TOL)
+        if grad is None:
+            raise _NotInterior(val, v.copy())
+        return val, (flat_basis @ grad.reshape(n * n)).real
+
     # Near a minimum the value error is about |grad|^2, so tol on the value
     # asks for sqrt(tol) on the gradient; below 1e-7 the line search can no
     # longer resolve the decrease in double precision.
     options = {"gtol": math.sqrt(max(tol, 1e-14)), "maxiter": 200}
     rng = np.random.default_rng(seed)
     starts = [np.zeros(dim)] + [0.8 * rng.standard_normal(dim) for _ in range(restarts - 1)]
-    best, evals = _bfgs_restarts(
-        lambda h: _unitary_oracle(a, h, _SEARCH_TOL), t.n, starts, options
-    )
-    if best is None:
-        return replace(degenerate, iterations=evals)
-    _, h, converged = best
-    u_best = _unitary_expand(h)[0]
+    best = (math.inf, np.zeros(dim), True)  # value, coordinates, converged
     try:
+        for v0 in starts if dim else ():  # n = 1: nothing to search
+            try:
+                res = minimize(objective, v0, jac=True, method="BFGS", options=options)
+                found = (float(res.fun), res.x, bool(res.success))
+            except _NotInterior as stop:
+                found = (*stop.args, True)
+            if found[0] < best[0]:
+                best = found
+        u_best = _unitary_expand(np.tensordot(best[1], basis, axes=1))[0]
         final = _diag_psi(a @ u_best, _PSI_TOL)
     except _Degenerate:
         return replace(degenerate, iterations=evals)
     report = _psi_report(final, t.m, evals, u_best)
-    return report if converged else replace(report, flags=report.flags + ("NoConvergence",))
+    return report if best[2] else replace(report, flags=report.flags + ("NoConvergence",))
 
 
 def _distance_from_scalar(h: np.ndarray, c: float) -> float:
@@ -584,40 +571,17 @@ def _distance_from_scalar(h: np.ndarray, c: float) -> float:
     return float(np.linalg.norm(diff)) / math.sqrt(len(h))
 
 
-def _marginals(a: np.ndarray) -> tuple[np.ndarray, np.ndarray, tuple[float, float]]:
-    """Row and column marginals T(I) and T*(I) of the raw (K, m, n) stack a,
-    and their residuals, the distances from the targets I_m and (m/n) I_n.
-    Both are sums of Gram matrices A_k A_k* and A_k* A_k, Hermitian up to
-    rounding; _scale symmetrizes the one it decomposes."""
-    _, m, n = a.shape
-    ah = a.conj().transpose(0, 2, 1)
-    q, p = (a @ ah).sum(axis=0), (ah @ a).sum(axis=0)
-    return q, p, (_distance_from_scalar(q, 1.0), _distance_from_scalar(p, m / n))
-
-
-def _scale(a: np.ndarray, q: np.ndarray, p: np.ndarray, side: str):
-    """Normalize one marginal of the raw (K, m, n) stack a, whose marginals
-    are q, p, to its target.
-
-    Side "row" maps A_k to S A_k with S = q^(-1/2), so that T(I) = I_m; the
-    other side maps A_k to A_k S with S = (n p / m)^(-1/2), so that
-    T*(I) = (m/n) I_n. Returns the new stack, the log-determinant
-    correction (1/dim) log det of the marginal so rescaled, and S, all from
-    one eigh of the marginal; the factor n/m multiplies its eigenvalues,
-    exactly 1 for square T. SingularMarginal is raised when the smallest
-    eigenvalue is at most 1e-12 of the largest; the gate is relative, so it
-    does not depend on the scale of the data.
-    """
-    _, m, n = a.shape
-    h, c, dim, context = (q, 1.0, m, "row") if side == "row" else (p, n / m, n, "column")
-    # One symmetrization, here: the eigenpairs then do not depend on which
-    # triangle eigh reads, and S is symmetrized for the same reason.
-    w, v = np.linalg.eigh(hermitian_part(h))
-    w = c * w
-    if float(w[0]) <= 1e-12 * max(float(w[-1]), 1e-300):
-        raise SingularMarginal(f"{context} marginal is numerically singular")
-    s = hermitian_part((v * (w ** -0.5)) @ v.conj().T)
-    return (s @ a if side == "row" else a @ s), float(np.sum(np.log(w))) / dim, s
+def _whiten_marginal(gram: np.ndarray, side: str) -> tuple[np.ndarray, np.ndarray]:
+    """_whiten under the scaling route's gate: SingularMarginal when the
+    smallest eigenvalue is at most 1e-12 of the largest. The gate is
+    relative, so it does not depend on the scale of the data."""
+    try:
+        w, f = _whiten(gram)
+        if w[0] > 1e-12 * w[-1]:
+            return w, f
+    except _Degenerate:
+        pass
+    raise SingularMarginal(f"{side} marginal is numerically singular")
 
 
 def cap_via_scaling(
@@ -628,33 +592,44 @@ def cap_via_scaling(
     A common kernel, a singular T(I) or a shrunk subspace makes cap(T) = 0,
     which the loop would only approach; the rank tests of the unitary route
     (_zero_capacity) run once, up front, and report Degenerate. Otherwise
-    the loop runs _scale on the raw Kraus stack, carrying the marginals
-    forward, and alternately normalizes T(I) to I_m and T*(I) to
-    (m/n) I_n, the doubly stochastic form of an m x n operator (Garg,
-    Gurvits, Oliveira and Wigderson 2016). The determinant corrections
-    accumulated along the way recover the capacity of the original operator
-    once both marginals are balanced; the witness is exact for the reported
-    value by construction.
+    the loop alternately normalizes T(I) to I_m and T*(I) to (m/n) I_n, the
+    doubly stochastic form of an m x n operator (Garg, Gurvits, Oliveira and
+    Wigderson 2016), on the raw Kraus stack. The row step whitens T(I) with
+    _whiten, A_k -> F* A_k, and gains (1/m) sum(log w) in log cap; the
+    column step is the same step on the adjoint stack, whitening
+    (n/m) T*(I), A_k -> A_k F, with a gain of (1/n) sum(log w), since
+    cap(S A R) = |det S|^(2/m) |det R|^(2/n) cap(A). The gains accumulated
+    along the way recover the capacity of the original operator once both
+    marginals are balanced; the witness X = R R*, R the product of the
+    column steps' F, is exact for the reported value by construction.
+    SingularMarginal is raised when a marginal to be whitened spans more
+    than 1e12 (_whiten_marginal), which does not by itself make cap(T) = 0.
     """
     a = t._kraus_stack
     if _zero_capacity(a):
         return CapacityReport(0.0, Method.SCALING, 0.0, 0, None, ("Degenerate",))
-    q, p, residuals = _marginals(a)
-    log_corr, col_t, steps = 0.0, np.eye(t.n, dtype=complex), 0
-    while max(residuals) > residual_tol and steps < max_steps:
-        side = ("row", "col")[steps % 2]
-        a, gain, s = _scale(a, q, p, side)
-        q, p, residuals = _marginals(a)
-        log_corr += gain
-        col_t = col_t @ s if side == "col" else col_t
+    log_corr, r, steps = 0.0, np.eye(t.n, dtype=complex), 0
+    while True:
+        q, p = _gram(a), _gram(a.conj().transpose(0, 2, 1))  # T(I), T*(I)
+        residual = max(_distance_from_scalar(q, 1.0), _distance_from_scalar(p, t.m / t.n))
+        if residual <= residual_tol or steps == max_steps:
+            break
+        if steps % 2 == 0:
+            w, f = _whiten_marginal(q, "row")
+            a, dim = f.conj().T @ a, t.m
+        else:  # the row step on the adjoint stack: A_k* -> F* A_k*
+            w, f = _whiten_marginal((t.n / t.m) * p, "column")
+            a, r, dim = a @ f, r @ f, t.n
+        log_corr += float(np.sum(np.log(w))) / dim
         steps += 1
-    flags = ("NoConvergence",) if max(residuals) > residual_tol else ()
-    w, _ = eigh(q)
-    if w.min(initial=1.0) <= 0:
-        raise SingularMarginal("final row marginal lost positivity")
+    flags = ("NoConvergence",) if residual > residual_tol else ()
+    try:
+        w, _ = _whiten(q)
+    except _Degenerate:
+        raise SingularMarginal("final row marginal lost positivity") from None
     value = float(np.exp(log_corr + np.sum(np.log(w)) / t.m))
-    x = hermitian_part(col_t @ col_t.conj().T)
-    return CapacityReport(value, Method.SCALING, max(residuals), steps, {"x": x}, flags)
+    x = hermitian_part(r @ r.conj().T)
+    return CapacityReport(value, Method.SCALING, residual, steps, {"x": x}, flags)
 
 
 def cap(t: CPOperator, config: CapacityConfig | None = None) -> CapacityReport:
@@ -662,22 +637,26 @@ def cap(t: CPOperator, config: CapacityConfig | None = None) -> CapacityReport:
 
     The primary route is the direct positive definite descent; enabling
     check_psi or check_scaling records agreement data from the other
-    routes in cross_checks without changing the reported value.
+    routes in cross_checks without changing the reported value. A scaling
+    check stopped by SingularMarginal leaves its entries out and adds the
+    flag ScalingSingularMarginal instead.
     """
     cfg = config or CapacityConfig()
     report = cap_direct_pd(t, tol=cfg.tol)
-    cross: dict = {}
+    cross, flags = {}, report.flags
     if cfg.check_psi:
         other = cap_unitary_search(t, tol=cfg.tol, restarts=cfg.restarts_unitary, seed=cfg.seed)
         cross["psi_unitary"] = other.value
         cross["psi_unitary_delta"] = abs(other.value - report.value)
     if cfg.check_scaling:
-        other = cap_via_scaling(t)
-        cross["scaling"] = other.value
-        cross["scaling_delta"] = abs(other.value - report.value)
-    if cross:
-        report = replace(report, cross_checks=cross)
-    return report
+        try:
+            other = cap_via_scaling(t)
+        except SingularMarginal:
+            flags += ("ScalingSingularMarginal",)
+        else:
+            cross["scaling"] = other.value
+            cross["scaling_delta"] = abs(other.value - report.value)
+    return replace(report, flags=flags, cross_checks=cross)
 
 
 def report_to_dict(report: CapacityReport) -> dict:

@@ -75,7 +75,9 @@ class SupportViolation(CapaxError, ValueError):
 
 
 class SingularMarginal(CapaxError, ValueError):
-    """A scaling marginal is numerically singular; capacity is degenerate."""
+    """A scaling marginal is numerically singular: its eigenvalues span more
+    than 1e12. The capacity need not be zero; cap then flags
+    ScalingSingularMarginal and keeps its direct value."""
 
 
 class NotSupported(CapaxError, ValueError):

@@ -133,15 +133,25 @@ def probe_pair(t1: CPOperator, t2: CPOperator, tol: float = 1e-10) -> tuple[floa
     return distance(t1, t2), abs(r1.value - r2.value)
 
 
-def _fit_loglog(dists: np.ndarray, dcaps: np.ndarray) -> tuple[float, float, float]:
-    x = np.log(dists)
-    y = np.log(dcaps)
+def _fit_loglog(
+    dists: np.ndarray, dcaps: np.ndarray, noise_floor: float
+) -> tuple[tuple[float, float, float] | None, np.ndarray, tuple[str, ...]]:
+    """Least-squares fit log dcap = slope log dist + intercept, as (slope,
+    intercept, r2), over the usable samples, those with dcap above
+    noise_floor and dist > 0; also the usable mask and the flags. With
+    fewer than _MIN_FIT_SAMPLES usable the fit is None and a flag says why:
+    AllFlat when none is usable, InsufficientSamples otherwise."""
+    usable = (dcaps > noise_floor) & (dists > 0)
+    if int(usable.sum()) < _MIN_FIT_SAMPLES:
+        return None, usable, ("InsufficientSamples",) if usable.any() else ("AllFlat",)
+    x = np.log(dists[usable])
+    y = np.log(dcaps[usable])
     slope, intercept = np.polyfit(x, y, 1)
     pred = slope * x + intercept
     ss_res = float(np.sum((y - pred) ** 2))
     ss_tot = float(np.sum((y - y.mean()) ** 2))
     r2 = 1.0 if ss_tot == 0.0 else 1.0 - ss_res / ss_tot
-    return float(slope), float(intercept), r2
+    return (float(slope), float(intercept), r2), usable, ()
 
 
 def run_probe(
@@ -162,7 +172,6 @@ def run_probe(
     if scales is None:
         scales = 2.0 ** -np.arange(2, 13)
     scales = np.asarray(scales, dtype=float)
-    flags: list[str] = []
 
     base_report, start = _cap_direct(base, tol)
     if "Degenerate" in base_report.flags:
@@ -175,15 +184,9 @@ def run_probe(
         start = start if witness is None else witness
         samples[i] = scales[i], distance(base, shifted), abs(other.value - base_report.value)
 
-    usable = (samples[:, 2] > noise_floor) & (samples[:, 1] > 0)
-    alpha = logc = r2 = None
-    if int(usable.sum()) >= _MIN_FIT_SAMPLES:
-        alpha, logc, r2 = _fit_loglog(samples[usable, 1], samples[usable, 2])
-    elif not usable.any():
-        flags.append("AllFlat")
-    else:
-        flags.append("InsufficientSamples")
-    return ProbeRun(base, direction, samples, alpha, logc, r2, tuple(flags))
+    fit, _, flags = _fit_loglog(samples[:, 1], samples[:, 2], noise_floor)
+    alpha, logc, r2 = fit or (None, None, None)
+    return ProbeRun(base, direction, samples, alpha, logc, r2, flags)
 
 
 def estimate_family_modulus(
@@ -207,22 +210,12 @@ def estimate_family_modulus(
         scale = 10.0 ** rng.uniform(-6.0, -1.0)
         results.append(probe_pair(base, perturb(base, direction, scale), tol))
     samples = np.array(results) if results else np.zeros((0, 2))
-
-    flags: list[str] = []
-    min_alpha = max_ratio = None
-    usable = (
-        (samples[:, 1] > noise_floor) & (samples[:, 0] > 0) if samples.size else np.zeros(0, bool)
-    )
-    if int(usable.sum()) >= _MIN_FIT_SAMPLES:
-        min_alpha, _, _ = _fit_loglog(samples[usable, 0], samples[usable, 1])
-        max_ratio = float(
-            np.max(samples[usable, 1] / samples[usable, 0] ** min_alpha)
-        )
-    elif not usable.any():
-        flags.append("AllFlat")
-    else:
-        flags.append("InsufficientSamples")
-    return FamilySummary(pairs, samples, min_alpha, max_ratio, tuple(flags))
+    fit, usable, flags = _fit_loglog(samples[:, 0], samples[:, 1], noise_floor)
+    if fit is None:
+        return FamilySummary(pairs, samples, flags=flags)
+    dists, dcaps = samples[usable, 0], samples[usable, 1]
+    max_ratio = float(np.max(dcaps / dists ** fit[0]))
+    return FamilySummary(pairs, samples, fit[0], max_ratio, flags)
 
 
 def export_csv(result, path) -> None:

@@ -41,10 +41,11 @@ from capax.capacity import (
     _MAX_BACKTRACKS,
     _STALL_GRAD,
     _geodesic_terms,
+    _gram,
     _herm_basis,
-    _logdet_kernel,
     _shrunk_subspace,
     _unitary_oracle,
+    _whiten,
 )
 from capax.cpop import apply, conjugate_unitary, dual_apply
 from conftest import make_op
@@ -144,21 +145,33 @@ def test_logdet_oracle_gradient_matches_central_differences(n, m, k):
 
 @pytest.mark.parametrize("bad", [math.inf, math.nan, 1e200])
 def test_geodesic_terms_reads_a_non_finite_stack_as_degenerate(bad):
+    """The kernel refuses a non-finite marginal before its eigh, and the
+    direct route's terms, which whiten through it, read it as Degenerate."""
     b = make_op(2, 2, 2, seed=3)._kraus_stack.copy()
     b[0, 0, 0] = bad
-    with np.errstate(all="ignore"), pytest.raises(capax.capacity._Degenerate):
-        _geodesic_terms(b, _herm_basis(2))
+    with np.errstate(all="ignore"):
+        gram = _gram(b)
+        assert not np.isfinite(gram).all()
+        with pytest.raises(capax.capacity._Degenerate):
+            _whiten(gram)
+        with pytest.raises(capax.capacity._Degenerate):
+            _geodesic_terms(b, _herm_basis(2))
 
 
 @pytest.mark.parametrize("n,m,k", [(2, 2, 2), (2, 3, 2), (3, 2, 3)])
 def test_logdet_kernel_matches_apply_and_dual_apply(n, m, k):
+    """The one log-det kernel, _whiten, at the stack b = A X^(1/2), whose
+    marginal is T(X): sum(log w) = log det T(X), F* T(X) F = I, and
+    T*(F F*) = T*(T(X)^-1), the gradient G of log det T(X)."""
     t = make_op(n, m, k, seed=300 * n + 10 * m + k)
-    x = expm_hermitian(np.tensordot(np.linspace(-0.6, 0.7, n * n - 1), _herm_basis(n), axes=1))
-    logdet, g = _logdet_kernel(t._kraus_stack, x)
-    y = apply(t, x)
+    h = np.tensordot(np.linspace(-0.6, 0.7, n * n - 1), _herm_basis(n), axes=1)
+    y = apply(t, expm_hermitian(h))
+    w, f = _whiten(_gram(t._kraus_stack @ expm_hermitian(0.5 * h)))
+    logdet = float(np.sum(np.log(w)))
     assert abs(logdet - np.log(np.linalg.det(y).real)) <= 1e-12 * max(abs(logdet), 1.0)
-    assert_allclose(g, dual_apply(t, np.linalg.inv(y)), rtol=0, atol=1e-12 * np.abs(g).max())
-    assert_allclose(g, g.conj().T, atol=0)
+    assert_allclose(f.conj().T @ y @ f, np.eye(m), rtol=0, atol=1e-12)
+    g = dual_apply(t, np.linalg.inv(y))
+    assert_allclose(dual_apply(t, f @ f.conj().T), g, rtol=0, atol=1e-12 * np.abs(g).max())
 
 
 def test_herm_basis_is_orthonormal_and_traceless():
@@ -605,11 +618,20 @@ def test_scaling_agrees_with_direct_at_extreme_scales(n, m, k, scale):
 
 
 def test_scaling_singular_marginal_raises():
-    """A marginal whose eigenvalues span more than 1e12 stops the loop; an
-    exactly singular one is a common kernel, which the rank tests report as
-    Degenerate before the loop."""
+    """A marginal whose eigenvalues span more than 1e12 stops the loop,
+    although cap(T) = 1e-7 > 0 here: cap then keeps the direct report and
+    names why the scaling check is missing. An exactly singular marginal is
+    a common kernel, which the rank tests report as Degenerate before the
+    loop."""
+    t = CPOperator((np.diag([1.0, 1e-7]).astype(complex),))
     with pytest.raises(SingularMarginal):
-        cap_via_scaling(CPOperator((np.diag([1.0, 1e-7]).astype(complex),)))
+        cap_via_scaling(t)
+    direct = cap_direct_pd(t)
+    assert direct.flags == () and abs(direct.value - 1e-7) <= 1e-15
+    report = cap(t, CapacityConfig(check_psi=True, check_scaling=True, restarts_unitary=2))
+    assert report.value == direct.value
+    assert report.flags == ("ScalingSingularMarginal",)
+    assert set(report.cross_checks) == {"psi_unitary", "psi_unitary_delta"}
     report = cap_via_scaling(CPOperator((np.diag([1.0, 0.0]).astype(complex),)))
     assert report.value == 0.0
     assert report.flags == ("Degenerate",)
@@ -665,20 +687,25 @@ def test_scaling_matches_direct_on_every_shape():
     """Scaling T(I) to I_m and T*(I) to (m/n) I_n gives the direct value,
     unflagged, with a witness whose ratio is the value; the operators the
     direct route reads as Degenerate (every (3, 5, 2) here) read so on this
-    route too, and cap cross-checks scaling whatever the shape."""
+    route too, and cap cross-checks scaling whatever the shape. On the
+    adjoint T*, with Kraus operators A_k*, the row and column steps trade
+    places, and the value is cap(T*) = (m/n) cap(T)."""
     shapes = [(2, 3, 2), (3, 2, 2), (2, 4, 3), (4, 2, 2), (3, 4, 2), (4, 3, 3), (3, 5, 2)]
     shapes += [(2, 2, 2), (3, 3, 2)]
     for n, m, k in shapes:
         for seed in range(10):
             t = random_cp(n, m, k, rng=seed)
             direct, scaled = cap_direct_pd(t), cap_via_scaling(t)
+            adjoint = cap_via_scaling(CPOperator(tuple(a.conj().T for a in t.kraus)))
             if direct.flags == ("Degenerate",):
                 assert scaled.flags == ("Degenerate",) and scaled.value == 0.0
+                assert adjoint.flags == ("Degenerate",) and adjoint.value == 0.0
                 continue
-            assert direct.flags == () and scaled.flags == ()
+            assert direct.flags == () and scaled.flags == () and adjoint.flags == ()
             assert abs(scaled.value - direct.value) <= 1e-9 * direct.value
             ratio = capacity_ratio(t, scaled.witness["x"])
             assert abs(ratio - scaled.value) <= 1e-10 * scaled.value
+            assert abs(adjoint.value - m / n * scaled.value) <= 1e-9 * adjoint.value
     report = cap(make_op(2, 3, 2, seed=9), CapacityConfig(check_scaling=True))
     assert report.cross_checks["scaling_delta"] <= 1e-9 * report.value
 

@@ -5,6 +5,7 @@ import pytest
 
 from capax import (
     CapacityConfig,
+    CPOperator,
     cap,
     cap_unitary_search,
     cap_via_scaling,
@@ -178,6 +179,19 @@ def test_scale_and_check_scaling_take_a_rectangular_operator(capsys, tmp_path):
     expected = cap(t, CapacityConfig(check_scaling=True))
     assert out == json.dumps(report_to_dict(expected), sort_keys=True) + "\n"
     assert "scaling_delta" in json.loads(out)["cross_checks"]
+
+
+def test_check_scaling_flags_a_singular_marginal(capsys, tmp_path):
+    """cap --check-scaling keeps the direct value and exits 0 when the
+    scaling check stops on a singular marginal."""
+    path = tmp_path / "op.json"
+    path.write_text(to_json(CPOperator((np.diag([1.0, 1e-7]).astype(complex),))))
+    code, out, err = _run(capsys, ["cap", str(path), "--check-scaling"])
+    assert code == 0 and err == ""
+    payload = json.loads(out)
+    assert abs(payload["value"] - 1e-7) <= 1e-15
+    assert payload["flags"] == ["ScalingSingularMarginal"]
+    assert payload["cross_checks"] == {}
 
 
 def test_probe_verb_writes_csv(capsys, tmp_path, monkeypatch):
