@@ -10,7 +10,8 @@ coefficient vector d:
   n * m * 2^m * binomial(n+m-1, m) transitions.
 * d_cauchy_binet: Gram-minor expansion over m-subsets of the labeled Kraus
   columns; each contribution is a squared modulus, so nonnegativity is
-  structural. Cost grows with binomial(n*K, m).
+  structural. The minors are expanded row by row and shared across subsets:
+  sum_r r * binomial(n*K, r) multiply-adds for r = 1..m.
 * d_interpolate: least-squares fit of det(T(diag(lam))) sampled on a random
   positive grid, with iterative refinement in extended precision; one QR
   factorization per grid, O(S * N^2) for S points and N coefficients, and
@@ -255,39 +256,99 @@ def d_leibniz(t, max_m: int = 7) -> CoeffVector:
     return CoeffVector(n, m, vals.real)
 
 
+@lru_cache(maxsize=16)
+def _minor_plan(n: int, kk: int, m: int):
+    """Colex tables for the row-by-row minor expansion over n*K labeled columns.
+
+    Level r lists the r-subsets S = {s_0 < ... < s_{r-1}} of the columns in
+    colex order, so the subsets whose largest column is c are the first
+    binomial(c, r-1) subsets of level r-1 with c appended, at ranks from
+    binomial(c, r). Each level grows block by block from the one before:
+    for every position p it keeps the column s_p and the rank of S minus
+    s_p in level r-1 (tables of shape (r, binomial(n*K, r))). Levels 0 to
+    m-1 are kept; level m is streamed one block per column by the caller.
+    The last values place each level m-1 subset's label counts in the
+    lexicographic (n, m-1) list, and lift position j' with one more label l
+    to its position in the (n, m) list, as lift[l, j'].
+    """
+    width = n * kk
+    cols, drops = _read_only(*np.zeros((2, 0, 1), dtype=np.int32))
+    levels = [(cols, drops)]
+    for r in range(1, m):
+        grown = np.empty((2, r, math.comb(width, r)), dtype=np.int32)
+        for c in range(r - 1, width):
+            k, start = math.comb(c, r - 1), math.comb(c, r)
+            block = grown[:, :, start : start + k]
+            block[0, :-1], block[0, -1] = cols[:, :k], c
+            block[1, :-1], block[1, -1] = drops[:, :k] + k, np.arange(k)
+        cols, drops = grown
+        levels.append(_read_only(cols, drops))
+    jarr, base = _multiindex_table(n, m - 1)[:2]
+    labels = np.tile(np.arange(n, dtype=np.int64), kk)
+    positions = _lookup(n, m - 1, base[labels[cols]].sum(axis=0)).astype(np.int32)
+    lifted = _lookup(n, m, (jarr + np.eye(n, dtype=np.int64)[:, None]) @ _multiindex_table(n, m)[1])
+    return tuple(levels), *_read_only(positions, lifted)
+
+
+def _laplace(row: np.ndarray, terms) -> np.ndarray:
+    """Sum of +-row[cols] * minors over the (cols, minors) terms of a Laplace
+    expansion along one row, with signs alternating from + on the first."""
+    terms = iter(terms)
+    cols, minors = next(terms)
+    out = row[cols] * minors
+    for q, (cols, minors) in enumerate(terms, start=1):
+        if q % 2:
+            out -= row[cols] * minors
+        else:
+            out += row[cols] * minors
+    return out
+
+
 def d_cauchy_binet(t: cpop.CPOperator, max_subsets: int = 10_000_000) -> CoeffVector:
     """Coefficient vector as sums of squared minors of the labeled Kraus columns.
 
-    Column l of every Kraus matrix carries label l; for each m-subset of the
-    n*K labeled columns the squared modulus of its determinant lands on the
-    multi-index counting the labels. All contributions are nonnegative.
+    Column l of every Kraus matrix carries label l; for each m-subset S of
+    the n*K labeled columns the squared modulus of its m x m minor lands on
+    the multi-index counting the labels. All contributions are nonnegative.
+    The minors are built one row at a time by Laplace expansion along the
+    last row, M_r(S) = sum_p (-1)^(r-1+p) C[r-1, s_p] M_{r-1}(S - s_p), so
+    every r x r minor on rows 0..r-1 is formed once and shared by all the
+    subsets above it: sum_r r * binomial(n*K, r) multiply-adds for r = 1..m
+    in place of one LU factorization per m-subset. Levels below m are kept
+    whole and level m is streamed one block per largest column, so no array
+    outgrows the widest level; one wider than max_subsets raises
+    CombinatorialOverflow.
     """
     if not isinstance(t, cpop.CPOperator):
         raise DimensionMismatch("the Gram-minor route needs Kraus matrices, not a matrix rep")
     n, m, kk = t.n, t.m, len(t.kraus)
-    total = math.comb(n * kk, m) if m <= n * kk else 0
-    if total > max_subsets:
+    width = n * kk
+    if m > width:
+        return CoeffVector(n, m, np.zeros(math.comb(n + m - 1, m)))
+    widest = min(m, width // 2)
+    if math.comb(width, widest) > max_subsets:
         raise CombinatorialOverflow(
-            f"binomial({n * kk}, {m}) = {total} subsets exceeds the ceiling {max_subsets}"
+            f"the row expansion forms binomial({width}, {widest}) = {math.comb(width, widest)} "
+            f"minors, which exceeds the ceiling {max_subsets}"
         )
-    vals = np.zeros(math.comb(n + m - 1, m), dtype=float)
-    if total == 0:
-        return CoeffVector(n, m, vals)
-    columns = np.hstack([a for a in t.kraus])  # (m, n*K), label = column index mod n
-    labels = np.tile(np.arange(n, dtype=np.int64), kk)
-    base = _multiindex_table(n, m)[1]
-    combos = itertools.combinations(range(n * kk), m)
-    chunk_size = 20000
-    while True:
-        chunk = np.array(list(itertools.islice(combos, chunk_size)), dtype=np.int64)
-        if chunk.size == 0:
-            break
-        chunk = chunk.reshape(-1, m)
-        mats = columns[:, chunk].transpose(1, 0, 2)  # (B, m, m), columns as chosen
-        dets = np.linalg.det(mats)
-        weights = (dets * dets.conj()).real
-        keys = base[labels[chunk]].sum(axis=1)
-        np.add.at(vals, _lookup(n, m, keys), weights)
+    columns = np.hstack(t.kraus)  # (m, n*K), label = column index mod n
+    levels, positions, lifted = _minor_plan(n, kk, m)
+    minors = np.ones(1, dtype=complex)
+    for r, (cols, drops) in enumerate(levels[1:], start=1):
+        minors = _laplace(columns[r - 1], ((cols[p], minors[drops[p]]) for p in reversed(range(r))))
+    cols, drops = levels[-1]
+    sums = np.zeros(lifted.shape)
+    for c in range(m - 1, width):
+        k = math.comb(c, m - 1)
+        tail = minors[k:]
+        top = _laplace(
+            columns[m - 1],
+            itertools.chain(
+                [(c, minors[:k])], ((cols[p, :k], tail[drops[p, :k]]) for p in reversed(range(m - 1)))
+            ),
+        )
+        sums[c % n] += np.bincount(positions[:k], top.real**2 + top.imag**2, minlength=sums.shape[1])
+    vals = np.bincount(lifted.ravel(), sums.ravel(), minlength=math.comb(n + m - 1, m))
     return CoeffVector(n, m, vals)
 
 

@@ -376,10 +376,13 @@ def _newton_log_phi(
     grad_norm = math.sqrt(grad @ grad)
     it = 0
     converged = grad_norm <= tol
-    # The sufficient-decrease test gets a few ulps of slack so that once f
-    # reaches its floating point floor the full Newton step is still accepted
-    # and keeps polishing the gradient; a strict test stalls there with the
-    # step shrinking below representability.
+    # Backtracking halves the step until the sufficient-decrease test holds
+    # or the trial point equals z in rounding, which ends the solve. There is
+    # no fixed floor on alpha: where the Gibbs weights are nearly degenerate
+    # the Hessian rounds to the ridge and a Newton step can be ~1e41 long,
+    # far more halvings than such a floor allows. The test gets a few ulps of
+    # slack so that once f reaches its floating point floor the full Newton
+    # step is still accepted and keeps polishing the gradient.
     slack = 4.0 * np.finfo(float).eps
     while not converged and it < max_iter:
         hess = w.T @ (w * p[:, None]) - grad[:, None] * grad
@@ -395,15 +398,14 @@ def _newton_log_phi(
             descent = -float(grad @ grad)
         floor = slack * max(1.0, abs(f))
         alpha = 1.0
-        while alpha > 1e-14:
-            z_next = z + alpha * step
+        z_next = z + step
+        while (z_next != z).any():
             f_new, p_new = evaluate(z_next)
             if f_new <= f + 1e-4 * alpha * descent + floor:
                 break
             alpha *= 0.5
+            z_next = z + alpha * step
         else:
-            break
-        if (z_next == z).all():  # the step vanished in rounding
             break
         z = z_next
         f, p = f_new, p_new

@@ -1,5 +1,6 @@
 import itertools
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -22,7 +23,7 @@ from capax import (
     pi_fiber,
     trace_channel,
 )
-from capax.coeffs import _default_grid, _diag_images
+from capax.coeffs import _default_grid, _diag_images, _lookup, _multiindex_table
 from conftest import make_op
 
 
@@ -39,6 +40,22 @@ def _leibniz_by_permutations(t) -> np.ndarray:
         # images[word[i], i, perm[i]] multiplied over the rows i
         np.add.at(vals, slots, sign * np.prod(images[words, np.arange(m), perm], axis=1))
     return vals.real
+
+
+def _cauchy_binet_by_lu(t) -> np.ndarray:
+    """Reference coefficients: one LU determinant per m-subset of the labeled
+    Kraus columns, the subsets taken from itertools.combinations."""
+    n, m, kk = t.n, t.m, len(t.kraus)
+    vals = np.zeros(math.comb(n + m - 1, m))
+    if m > n * kk:
+        return vals
+    columns = np.hstack(t.kraus)
+    labels = np.tile(np.arange(n), kk)
+    subsets = np.array(list(itertools.combinations(range(n * kk), m)))
+    dets = np.linalg.det(columns[:, subsets].transpose(1, 0, 2))
+    keys = _multiindex_table(n, m)[1][labels[subsets]].sum(axis=1)
+    np.add.at(vals, _lookup(n, m, keys), (dets * dets.conj()).real)
+    return vals
 
 
 @pytest.mark.parametrize("shape", [(2, 2, 3), (3, 4, 2)])
@@ -141,6 +158,45 @@ def test_cauchy_binet_exactly_nonnegative():
     for seed in range(8):
         cv = d_cauchy_binet(make_op(2, 3, 2, seed=seed))
         assert cv.values.min() >= 0.0
+
+
+def _rank_deficient_op() -> CPOperator:
+    """Rank-2 and rank-3 Kraus matrices, one of them repeated, so many
+    minors of the labeled columns vanish exactly or nearly."""
+    rng = np.random.default_rng(79)
+    low = [
+        rng.standard_normal((4, r)) @ rng.standard_normal((r, 4)) + 0j for r in (2, 2, 3)
+    ]
+    return CPOperator((low[0], low[1], low[0], low[2]))
+
+
+def _scaled_op(factor) -> CPOperator:
+    return CPOperator(tuple(factor * a for a in make_op(3, 3, 2, seed=83).kraus))
+
+
+@pytest.mark.parametrize(
+    "case",
+    ["K=1", "n<m", "n>m", "m>nK", "rank-deficient", "scaled-1e8", "scaled-1e-8", "(7,7,2)"],
+)
+def test_cauchy_binet_matches_lu_reference(case):
+    """The row-by-row minor expansion equals one LU determinant per subset."""
+    with warnings.catch_warnings():
+        warnings.filterwarnings("ignore", ".*comfortable scale", UserWarning)
+        t = {
+            "K=1": lambda: make_op(4, 4, 1, seed=83),
+            "n<m": lambda: make_op(3, 4, 2, seed=83),
+            "n>m": lambda: make_op(5, 3, 2, seed=83),
+            "m>nK": lambda: make_op(1, 3, 2, seed=83),
+            "rank-deficient": _rank_deficient_op,
+            "scaled-1e8": lambda: _scaled_op(1e8),
+            "scaled-1e-8": lambda: _scaled_op(1e-8),
+            "(7,7,2)": lambda: make_op(7, 7, 2, seed=73),
+        }[case]()
+    ref, got = _cauchy_binet_by_lu(t), d_cauchy_binet(t).values
+    if case == "m>nK":
+        assert not got.any() and not ref.any()
+    else:
+        assert np.abs(got - ref).max() <= 1e-13 * np.abs(ref).max()
 
 
 @pytest.mark.parametrize("n,m,k", [(1, 1, 1), (2, 2, 2), (2, 3, 1), (3, 2, 3), (3, 3, 2)])

@@ -482,6 +482,36 @@ def test_entropy_dual_closes_duality_gap(rng):
         assert np.abs(p @ prob.u - theta).max() <= 1e-6
 
 
+@pytest.mark.parametrize(
+    "d,theta",
+    [
+        (
+            [0.00013107984963461883, 0.31267002354793627, 0.00035057551882148805],
+            [-0.9492416090496086, 0.9492416090496086],
+        ),
+        (
+            [0.00013107984963461883, 0.31267002354793627, 0.00035057551882148805],
+            [0.9492416090496086, -0.9492416090496086],
+        ),
+        (
+            [0.0002102789878560274, 0.38303896654104536, 0.002836419128168061],
+            [-0.8744372013248153, 0.8744372013248153],
+        ),
+    ],
+)
+def test_entropy_dual_survives_near_degenerate_gibbs_weights(d, theta):
+    """A target near a vertex: the first Newton step lands where the Gibbs
+    weights are (1, ~1e-31, ~1e-67) and the Hessian rounds to its ridge, so
+    the next step is ~1e41 long and the line search must halve far below
+    any fixed floor on alpha."""
+    u = TRACE.u
+    theta = np.array(theta)
+    _, value = entropy_dual(ExpSumProblem(u, np.array(d)), theta)
+    psi = psi_minimize(ExpSumProblem(u - theta[None, :], np.array(d)), tol=1e-11)
+    assert psi.converged
+    assert abs(value - np.log(psi.value)) <= 1e-6
+
+
 def test_entropy_optimality_among_feasible(rng):
     """Any feasible p scores at most the returned entropy value."""
     y = np.array([0.3, -0.1])
