@@ -228,7 +228,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_cap.add_argument("--tol", type=float)
     p_cap.add_argument("--seed", type=int)
     p_cap.add_argument(
-        "--restarts", type=int, help="unitary-search starts (--method psi, --check-psi)"
+        "--restarts", type=int, help="most unitary-search starts (--method psi, --check-psi)"
     )
     p_cap.add_argument("--check-psi", dest="check_psi", action="store_const", const=True)
     p_cap.add_argument(

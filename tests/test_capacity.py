@@ -36,16 +36,21 @@ from capax import (
 )
 import capax.capacity
 from capax.capacity import (
+    CapacityReport,
     _CURVATURE_FLOOR,
     _diag_exponents,
+    _distance_from_scalar,
     _MAX_BACKTRACKS,
     _STALL_GRAD,
     _geodesic_terms,
     _gram,
     _herm_basis,
     _shrunk_subspace,
+    _unitary_expand,
     _unitary_oracle,
     _whiten,
+    _whiten_marginal,
+    _zero_capacity,
 )
 from capax.cpop import apply, conjugate_unitary, dual_apply
 from conftest import make_op
@@ -710,6 +715,53 @@ def test_scaling_matches_direct_on_every_shape():
     assert report.cross_checks["scaling_delta"] <= 1e-9 * report.value
 
 
+def _scaling_forming_both_marginals(t, max_steps=2000, residual_tol=1e-8):
+    """cap_via_scaling as it was when every step formed both marginals and
+    tested both distances: the reference its reports must match bit for bit."""
+    a = t._kraus_stack
+    if _zero_capacity(a):
+        return CapacityReport(0.0, Method.SCALING, 0.0, 0, None, ("Degenerate",))
+    log_corr, r, steps = 0.0, np.eye(t.n, dtype=complex), 0
+    while True:
+        q, p = _gram(a), _gram(a.conj().transpose(0, 2, 1))
+        residual = max(_distance_from_scalar(q, 1.0), _distance_from_scalar(p, t.m / t.n))
+        if residual <= residual_tol or steps == max_steps:
+            break
+        if steps % 2 == 0:
+            w, f = _whiten_marginal(q, "row")
+            a, dim = f.conj().T @ a, t.m
+        else:
+            w, f = _whiten_marginal((t.n / t.m) * p, "column")
+            a, r, dim = a @ f, r @ f, t.n
+        log_corr += float(np.sum(np.log(w))) / dim
+        steps += 1
+    flags = ("NoConvergence",) if residual > residual_tol else ()
+    value = float(np.exp(log_corr + np.sum(np.log(_whiten(q)[0])) / t.m))
+    x = hermitian_part(r @ r.conj().T)
+    return CapacityReport(value, Method.SCALING, residual, steps, {"x": x}, flags)
+
+
+def test_scaling_forms_one_marginal_per_step_and_keeps_its_reports():
+    """Forming only the marginal the next step whitens, and both once it
+    passes residual_tol or at max_steps, leaves every report bit-identical to
+    the loop that formed both each step: 9 shapes x 3 seeds and their
+    adjoints, and runs cut short by max_steps (NoConvergence)."""
+    shapes = [(2, 3, 2), (3, 2, 2), (2, 4, 3), (4, 2, 2), (3, 4, 2), (4, 3, 3), (3, 5, 2)]
+    shapes += [(2, 2, 2), (3, 3, 2)]
+    for n, m, k in shapes:
+        for seed in range(3):
+            t = random_cp(n, m, k, rng=seed)
+            for op in (t, CPOperator(tuple(a.conj().T for a in t.kraus))):
+                expected = report_to_json(_scaling_forming_both_marginals(op))
+                assert report_to_json(cap_via_scaling(op)) == expected
+    t = make_op(3, 3, 2, seed=1)
+    for max_steps in (1, 2, 3):
+        report = cap_via_scaling(t, max_steps=max_steps)
+        assert report.flags == ("NoConvergence",) and report.iterations == max_steps
+        expected = _scaling_forming_both_marginals(t, max_steps=max_steps)
+        assert report_to_json(report) == report_to_json(expected)
+
+
 def test_unitary_search_boundary_base():
     """T(X) = sum E_ij X E_ji over the support of [[1, 1], [0, 1]]: cap = 1,
     approached but not attained. The identity start is a point where the
@@ -753,6 +805,70 @@ def test_unitary_search_flags_no_convergence(monkeypatch):
     report = cap_unitary_search(t, restarts=2)
     assert report.flags == ("NoConvergence",)
     assert report.value > 0.0
+
+
+def _counting_minimize(monkeypatch, offsets=None):
+    """Wrap capax.capacity.minimize; return the list of (fun, x) per start.
+    With offsets, start j's fun is raised by offsets[j] before the search
+    sees it."""
+    real_minimize, starts = capax.capacity.minimize, []
+
+    def counting(*args, **kwargs):
+        res = real_minimize(*args, **kwargs)
+        if offsets is not None:
+            res.fun += offsets[len(starts)]
+        starts.append((res.fun, res.x))
+        return res
+
+    monkeypatch.setattr(capax.capacity, "minimize", counting)
+    return starts
+
+
+def test_unitary_search_leaves_the_near_stationary_identity(monkeypatch):
+    """At criterion-06 draw 7199 the identity is near-stationary, |grad g| =
+    2.5e-5 < sqrt(tol), so its start stops after 0 iterations 1.3e-2 relative
+    above cap; the second start disagrees with it, the third agrees with the
+    second, and the search stops there on the direct value."""
+    rng = np.random.default_rng(7199)
+    k = int(rng.integers(2, 4))
+    t = random_cp(2, 2, k, scale=1.0 / np.sqrt(2 * k), rng=rng)
+    starts = _counting_minimize(monkeypatch)
+    direct = cap_direct_pd(t).value
+    searched = cap_unitary_search(t, restarts=4)
+    assert abs(searched.value - direct) <= 1e-9 * direct
+    assert len(starts) == 3
+    assert searched.flags == ()
+
+
+def test_unitary_search_stops_when_a_start_agrees(monkeypatch):
+    starts = _counting_minimize(monkeypatch)
+    cap_unitary_search(make_op(2, 2, 2, seed=8), restarts=8)
+    assert len(starts) == 2
+
+
+def test_unitary_search_runs_every_start_while_none_agree(monkeypatch):
+    """Starts whose values lie 1e-6 apart, far above tol, never agree: all
+    of them run, and the winner is the lowest, wherever it comes."""
+    offsets = 1e-6 * np.array([4.0, 1.0, 3.0, 2.0])
+    starts = _counting_minimize(monkeypatch, offsets)
+    report = cap_unitary_search(make_op(2, 2, 2, seed=8), restarts=4)
+    assert len(starts) == 4
+    winner = starts[int(np.argmin([fun for fun, _ in starts]))][1]
+    expected = _unitary_expand(np.tensordot(winner, _herm_basis(2), axes=1))[0]
+    assert np.array_equal(report.witness["unitary"], expected)
+    assert np.array_equal(winner, starts[1][1])
+
+
+def test_unitary_search_criterion_06_corpus_needs_few_evaluations():
+    """The agreement stop cuts the mean oracle calls of four starts on the
+    criterion-06 corpus from 38.9 to 22.6 at n = 2 and from 91.7 to 57.9 at
+    n = 3, counted by report.iterations."""
+    evals = {2: [], 3: []}
+    for t in _criterion_06_corpus():
+        evals[t.n].append(cap_unitary_search(t, restarts=4).iterations)
+    assert len(evals[2]) == len(evals[3]) == 15
+    assert np.mean(evals[2]) < 30
+    assert np.mean(evals[3]) < 70
 
 
 def test_cap_facade_homogeneity():

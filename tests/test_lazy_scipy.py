@@ -86,4 +86,4 @@ def test_rebound_entry_points_see_every_call(monkeypatch):
     cap_direct_pd(make_op(2, 2, 2, 5))
     assert calls["minimize"] == 0
     cap_unitary_search(make_op(2, 2, 2, 5), restarts=3)
-    assert calls["minimize"] == 3
+    assert calls["minimize"] == 2  # the second start agrees with the first
