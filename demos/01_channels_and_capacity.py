@@ -3,7 +3,15 @@
 
 import numpy as np
 
-from capax import CPOperator, CapacityConfig, cap, cap0, capacity_ratio, random_cp
+from capax import (
+    CPOperator,
+    CapacityConfig,
+    cap,
+    cap0,
+    cap_unitary_search,
+    capacity_ratio,
+    random_cp,
+)
 
 rng = np.random.default_rng(7)
 
@@ -25,7 +33,12 @@ t = random_cp(2, 2, 2, scale=0.5, rng=rng)
 full = cap(t, CapacityConfig(check_psi=True, check_scaling=True, seed=3))
 print("random 2x2 map:")
 print("  direct    :", full.value)
-print("  psi search:", full.cross_checks["psi_unitary"])
+# The unitary search brackets cap between a certified lower bound and its
+# value; a lower bound of 0 (no certificate) would stop the demo here.
+psi = cap_unitary_search(t, seed=3)
+width = np.log(psi.value / psi.lower)
+print(f"  psi search: [{psi.lower:.12f}, {psi.value:.12f}], log width {width:.1e}")
+print("    as cap's cross check:", full.cross_checks["psi_unitary"], "flags:", full.flags)
 print("  scaling   :", full.cross_checks["scaling"])
 
 # The diagonal restriction cap0 is an upper bound for cap.

@@ -12,7 +12,11 @@ definite X. Three routes are implemented:
 * ``cap_unitary_search``: the same rank tests and a shrunk-subspace test,
   then cap(T) = inf_U cap0(T_U) where cap0 restricts X to diagonal
   matrices and reduces to a weighted exponential sum, so the outer search
-  runs over unitaries only;
+  runs over unitaries only. Its restarts stop once a certified lower bound
+  (commutative duality with the weight margin of the shape, _MARGINS) is
+  within sqrt(tol) of the best value; the bound is read from the direct
+  route's oracle at a start's witness, for that decision only, and the
+  reported value stays the exponential-sum solve;
 * ``cap_via_scaling``: the same three rank tests, then alternate row and
   column marginal normalization, T(I) to I_m and T*(I) to (m/n) I_n,
   accumulating determinant corrections.
@@ -27,7 +31,8 @@ scipy.optimize here. The scaling route whitens T(I) and (n/m) T*(I) in
 turn, the column step being the row step on the adjoint stack.
 
 All routes return a CapacityReport carrying the value, a witness when one
-exists, solver residuals, and flags for degenerate or non-converged runs.
+exists, solver residuals, and flags for degenerate or non-converged runs;
+the unitary route's report also carries its certified lower bound.
 """
 from __future__ import annotations
 
@@ -88,6 +93,12 @@ class CapacityConfig:
 
 @dataclass(frozen=True)
 class CapacityReport:
+    """One route's answer: the value, the route's residual and work count,
+    the witness X when one exists, flags, and the other routes' values that
+    cap ran. lower is a certified lower bound on cap(T), so [lower, value]
+    brackets it: the unitary route sets it (0.0 where no certificate
+    applies), the other routes leave it None."""
+
     value: float
     method: Method
     residual: float
@@ -95,6 +106,7 @@ class CapacityReport:
     witness: dict | None = None
     flags: tuple[str, ...] = ()
     cross_checks: dict = field(default_factory=dict)
+    lower: float | None = None
 
 
 def diag_problem(t: CPOperator | np.ndarray) -> ExpSumProblem:
@@ -465,10 +477,16 @@ def _unitary_expand(h: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return (vec * np.exp(1j * w)) @ vec.conj().T, w, vec
 
 
+class _NoGradient(Exception):
+    """Internal signal: g has no gradient at this U; args are the value and
+    whether a start that stops here counts as converged."""
+
+
 def _unitary_oracle(
     a: np.ndarray, h: np.ndarray, search_tol: float
-) -> tuple[float, np.ndarray | None]:
-    """Value g = (1/m) log Psi(T_U) at U = exp(iH) and its exact gradient.
+) -> tuple[float, np.ndarray, np.ndarray]:
+    """Value g = (1/m) log Psi(T_U) at U = exp(iH), its exact gradient and
+    the inner minimizer y*.
 
     a is the raw (K, m, n) Kraus stack of T. The gradient is the Hermitian
     matrix Z with d/ds g(exp(i(H + sE))) = Re tr(Z E). By the envelope
@@ -478,7 +496,10 @@ def _unitary_oracle(
     eigenvalues of H = V diag(w) V*. U* G U is G for the stack B = A U at D:
     the stack C = F* B D^(1/2), whitened by _whiten, has sum_k C_k* C_k =
     D^(1/2) U* G U D^(1/2), so D U* G U = D^(1/2) (sum_k C_k* C_k) D^(-1/2).
-    Z is None when the infimum is not attained, where g has no gradient.
+    Raises _NoGradient where the infimum is not attained, where g has no
+    gradient, and where T(X) reads as singular: past the rank gates it is
+    not, so that is a numerical breakdown, and a start that stops on it is
+    not converged.
     """
     m = a.shape[1]
     u, w, vec = _unitary_expand(h)
@@ -486,22 +507,64 @@ def _unitary_oracle(
     res = _diag_psi(b, search_tol, max_iter=80)
     value = math.log(res.value) / m
     if res.classification.tag is not HullTag.INTERIOR_ZERO:
-        return value, None
+        raise _NoGradient(value, True)
     root = np.exp(0.5 * res.minimizer)  # D^(1/2)
     c = b * root
-    c = _whiten(_gram(c))[1].conj().T @ c
+    try:
+        c = _whiten(_gram(c))[1].conj().T @ c
+    except _Degenerate:
+        raise _NoGradient(value, False) from None
     dgu = _gram(c.conj().transpose(0, 2, 1)) * (root[:, None] / root)  # D U* G U
     gamma = 1j * _exp_divided_differences(1j * w)  # divided differences of exp(i.)
     inner = (vec.conj().T @ dgu @ u.conj().T @ vec) * gamma.T
-    return value, (2.0 / m) * (vec @ inner @ vec.conj().T)
+    return value, (2.0 / m) * (vec @ inner @ vec.conj().T), res.minimizer
 
 
 _SEARCH_TOL = 1e-8  # Psi tolerance per search evaluation; the winner is re-solved at _PSI_TOL
 _PSI_TOL = 1e-10
 
+# The weight margin gamma(n, m) of _diag_exponents(n, m): the least distance
+# from 0 to conv(S) over the exponent subsets S with 0 outside conv(S),
+# rounded down so that the certificate stays valid. The tests re-derive each
+# entry; other shapes get no certificate, as the enumeration is not run at
+# run time ((5, 5) takes 72 s).
+_MARGINS = {
+    (2, 2): 1.414213562373,  # sqrt(2)
+    (2, 3): 0.707106781186,  # 1/sqrt(2)
+    (3, 2): 0.408248290463,  # 1/sqrt(6)
+    (3, 3): 0.462910049886,  # sqrt(3/14)
+    (4, 4): 0.143222974807,  # 2/sqrt(195)
+}
 
-class _NotInterior(Exception):
-    """Internal signal: no gradient here; args are the value and coordinates."""
+
+def _certified_lower(a: np.ndarray, u: np.ndarray, y: np.ndarray) -> float:
+    """A certified lower bound on log cap(T) from the witness X = U diag(e^y) U*
+    of the (K, m, n) stack a, y the inner minimizer of Psi(T_U) or any other
+    point: the bound holds at every X, and is tight near the minimizer.
+
+    Commutative duality (Buergisser, Franks, Garg, Oliveira, Walter and
+    Wigderson, "Towards a theory of non-commutative optimization", FOCS
+    2019): an exponential sum Phi with weight margin gamma has
+    inf Phi >= Phi(0) (1 - |grad log Phi(0)| / gamma). On the stack
+    b = A U diag(e^((y - mean y)/2)), with |det| = 1 so that cap(T_b) =
+    cap(T), every diagonal problem of T_b V, V unitary, has Phi(0) =
+    det T_b(I) and a gradient of norm at most |G - (m/n) I|_F = m |g|, with
+    G = T_b*(T_b(I)^-1) and g the chart gradient of _geodesic_terms; and
+    cap^m is the infimum of those Psi over V. So log cap >= f + (1/m)
+    log(1 - m |g| / gamma) - err, with f, g and err from _geodesic_terms on
+    b. -inf when the shape has no margin, m |g| >= gamma, or T_b(I) reads
+    as singular.
+    """
+    m, n = a.shape[1:]
+    margin = _MARGINS.get((n, m))
+    if margin is None:
+        return -math.inf
+    try:
+        f, err, grad, _ = _geodesic_terms(a @ u * np.exp(0.5 * (y - y.mean())), _herm_basis(n))
+    except _Degenerate:
+        return -math.inf
+    slack = 1.0 - m * float(np.linalg.norm(grad)) / margin
+    return f + math.log(slack) / m - err if slack > 0 else -math.inf
 
 
 def cap_unitary_search(
@@ -517,16 +580,26 @@ def cap_unitary_search(
     change cap0), on g(U) = (1/m) log Psi(T_U) with the exact envelope
     gradient of _unitary_oracle; identity start plus seeded random
     restarts, a cheap exponential-sum solve per evaluation and one tight
-    solve at the winner. restarts is the most starts run: the search stops
-    once a start's value is within tol of the best before it. One start is
-    not enough, as the identity can be near-stationary above the infimum
-    (criterion-06 draw 7199: BFGS stops there after 0 iterations, 1.3e-2
-    relative above cap). A restart that reaches a U whose diagonal infimum
-    is not attained stops there (g has no gradient at such a U); when it
-    wins, the tight solve flags InfimumNotAttained. tol is the accuracy
-    asked of g, so the gradient test is |grad g| <= sqrt(tol); NoConvergence
-    marks a winning restart that stopped short of it. The report's
-    iterations count objective evaluations.
+    solve at the winner, whose value is the one reported.
+
+    restarts is the most starts run. After each start the search keeps L,
+    the largest certified lower bound on log cap at a start's witness so
+    far (_certified_lower, none where the diagonal infimum is not attained),
+    and stops once the best value is within sqrt(tol) of L, the scale of
+    the gradient test below, or once a start's value is within tol of the
+    best before it. The certificate rejects a near-stationary identity
+    above the infimum (criterion-06 draw 7199: BFGS stops there after 0
+    iterations, 1.3e-2 relative above cap). It reads the direct route's
+    oracle, but only to decide whether to restart: the reported value stays
+    the Psi solve, so the route remains independent of the direct one. The
+    report's lower is exp(L), 0.0 when no start is certified.
+
+    A restart that reaches a U whose diagonal infimum is not attained stops
+    there (g has no gradient at such a U); when it wins, the tight solve
+    flags InfimumNotAttained. tol is the accuracy asked of g, so the
+    gradient test is |grad g| <= sqrt(tol); NoConvergence marks a winning
+    restart that stopped short of it, or on a numerical breakdown of the
+    oracle. The report's iterations count objective evaluations.
     """
     a = t._kraus_stack
     degenerate = CapacityReport(0.0, Method.PSI_UNITARY, 0.0, 0, None, ("Degenerate",))
@@ -535,15 +608,17 @@ def cap_unitary_search(
     n, dim = t.n, t.n * t.n - 1
     basis = _herm_basis(n)
     flat_basis = basis.reshape(dim, n * n).conj()
-    evals = 0
+    evals, last, inner = 0, None, {}  # the last point evaluated; y* at each point
 
     def objective(v: np.ndarray) -> tuple[float, np.ndarray]:
-        nonlocal evals
-        evals += 1
-        val, grad = _unitary_oracle(a, np.tensordot(v, basis, axes=1), _SEARCH_TOL)
-        if grad is None:
-            raise _NotInterior(val, v.copy())
+        nonlocal evals, last
+        evals, last = evals + 1, v.copy()
+        h = np.tensordot(v, basis, axes=1)
+        val, grad, inner[v.tobytes()] = _unitary_oracle(a, h, _SEARCH_TOL)
         return val, (flat_basis @ grad.reshape(n * n)).real
+
+    def expand(v: np.ndarray) -> np.ndarray:
+        return _unitary_expand(np.tensordot(v, basis, axes=1))[0]
 
     # Near a minimum the value error is about |grad|^2, so tol on the value
     # asks for sqrt(tol) on the gradient; below 1e-7 the line search can no
@@ -551,24 +626,29 @@ def cap_unitary_search(
     options = {"gtol": math.sqrt(max(tol, 1e-14)), "maxiter": 200}
     rng = np.random.default_rng(seed)
     starts = [np.zeros(dim)] + [0.8 * rng.standard_normal(dim) for _ in range(restarts - 1)]
-    best = (math.inf, np.zeros(dim), True)  # value, coordinates, converged
+    best, lower = (math.inf, np.zeros(dim), True), -math.inf  # value, coordinates, converged
     try:
         for v0 in starts if dim else ():  # n = 1: nothing to search
             try:
                 res = minimize(objective, v0, jac=True, method="BFGS", options=options)
+            except _NoGradient as stop:
+                found = (stop.args[0], last, stop.args[1])
+            else:
                 found = (float(res.fun), res.x, bool(res.success))
-            except _NotInterior as stop:
-                found = (*stop.args, True)
+                # res.x is a point BFGS evaluated, so its y* is at hand
+                y = inner.get(res.x.tobytes())
+                if y is not None:
+                    lower = max(lower, _certified_lower(a, expand(res.x), y))
             agreed = abs(found[0] - best[0]) <= tol
             if found[0] < best[0]:
                 best = found
-            if agreed:
+            if agreed or best[0] - lower <= options["gtol"]:
                 break
-        u_best = _unitary_expand(np.tensordot(best[1], basis, axes=1))[0]
+        u_best = expand(best[1])
         final = _diag_psi(a @ u_best, _PSI_TOL)
     except _Degenerate:
         return replace(degenerate, iterations=evals)
-    report = _psi_report(final, t.m, evals, u_best)
+    report = replace(_psi_report(final, t.m, evals, u_best), lower=math.exp(lower))
     return report if best[2] else replace(report, flags=report.flags + ("NoConvergence",))
 
 
@@ -647,6 +727,12 @@ def cap_via_scaling(
     return CapacityReport(value, Method.SCALING, residual, steps, {"x": x}, flags)
 
 
+# Relative rounding allowed between a certified lower bound and a value; the
+# certificate has its own rounding subtracted already, so this covers the
+# value's.
+_LOWER_SLACK = 1e-12
+
+
 def cap(t: CPOperator, config: CapacityConfig | None = None) -> CapacityReport:
     """Best-effort capacity with optional independent cross-checks.
 
@@ -654,7 +740,10 @@ def cap(t: CPOperator, config: CapacityConfig | None = None) -> CapacityReport:
     check_psi or check_scaling records agreement data from the other
     routes in cross_checks without changing the reported value. A scaling
     check stopped by SingularMarginal leaves its entries out and adds the
-    flag ScalingSingularMarginal instead.
+    flag ScalingSingularMarginal instead. When the unitary check's certified
+    lower bound exceeds the reported value by more than rounding
+    (_LOWER_SLACK), the value is wrong, and the flag CertifiedLowerAboveValue
+    says so; the value stays as it is.
     """
     cfg = config or CapacityConfig()
     report = cap_direct_pd(t, tol=cfg.tol)
@@ -663,6 +752,8 @@ def cap(t: CPOperator, config: CapacityConfig | None = None) -> CapacityReport:
         other = cap_unitary_search(t, tol=cfg.tol, restarts=cfg.restarts_unitary, seed=cfg.seed)
         cross["psi_unitary"] = other.value
         cross["psi_unitary_delta"] = abs(other.value - report.value)
+        if other.lower is not None and other.lower > report.value * (1.0 + _LOWER_SLACK):
+            flags += ("CertifiedLowerAboveValue",)
     if cfg.check_scaling:
         try:
             other = cap_via_scaling(t)
@@ -692,6 +783,7 @@ def report_to_dict(report: CapacityReport) -> dict:
         "witness": witness,
         "flags": list(report.flags),
         "cross_checks": {k: float(v) for k, v in report.cross_checks.items()},
+        "lower": report.lower,
     }
 
 

@@ -1,3 +1,4 @@
+import itertools
 import json
 import math
 from collections import Counter
@@ -10,6 +11,7 @@ from capax import (
     CapacityConfig,
     CompactFamily,
     CPOperator,
+    ExpSumProblem,
     Method,
     SingularEvaluation,
     SingularMarginal,
@@ -27,6 +29,8 @@ from capax import (
     hermitian_part,
     identity_channel,
     perturb,
+    phi_eval,
+    psi_minimize,
     random_cp,
     random_direction,
     random_hermitian,
@@ -38,6 +42,8 @@ import capax.capacity
 from capax.capacity import (
     CapacityReport,
     _CURVATURE_FLOOR,
+    _MARGINS,
+    _certified_lower,
     _diag_exponents,
     _distance_from_scalar,
     _MAX_BACKTRACKS,
@@ -668,7 +674,7 @@ def test_unitary_oracle_gradient_matches_central_differences(n, m, k):
     points = [np.zeros(n * n - 1)] + [0.8 * rng.standard_normal(n * n - 1) for _ in range(3)]
     for v in points:
         h = np.tensordot(v, basis, axes=1)
-        value, grad = oracle(h)
+        value, grad, _ = oracle(h)
         exact = np.array([np.vdot(b, grad).real for b in basis])
         central = np.array(
             [(oracle(h + step * b)[0] - oracle(h - step * b)[0]) / (2 * step) for b in basis]
@@ -824,11 +830,18 @@ def _counting_minimize(monkeypatch, offsets=None):
     return starts
 
 
+def _uncertified(monkeypatch):
+    """Take the certificate out of the unitary search's stop, which then
+    rests on agreement between starts alone."""
+    monkeypatch.setattr(capax.capacity, "_certified_lower", lambda *args: -math.inf)
+
+
 def test_unitary_search_leaves_the_near_stationary_identity(monkeypatch):
     """At criterion-06 draw 7199 the identity is near-stationary, |grad g| =
     2.5e-5 < sqrt(tol), so its start stops after 0 iterations 1.3e-2 relative
-    above cap; the second start disagrees with it, the third agrees with the
-    second, and the search stops there on the direct value."""
+    above cap. Its certified gap, about 6e-2, rejects it; the second start is
+    certified within sqrt(tol) and the search stops there on the direct
+    value, 2 starts where the agreement stop alone took 3."""
     rng = np.random.default_rng(7199)
     k = int(rng.integers(2, 4))
     t = random_cp(2, 2, k, scale=1.0 / np.sqrt(2 * k), rng=rng)
@@ -836,19 +849,28 @@ def test_unitary_search_leaves_the_near_stationary_identity(monkeypatch):
     direct = cap_direct_pd(t).value
     searched = cap_unitary_search(t, restarts=4)
     assert abs(searched.value - direct) <= 1e-9 * direct
-    assert len(starts) == 3
+    assert len(starts) == 2
     assert searched.flags == ()
+    assert math.log(searched.value / searched.lower) <= math.sqrt(1e-9)
 
 
 def test_unitary_search_stops_when_a_start_agrees(monkeypatch):
+    """The first start is certified and ends the search; without the
+    certificate the second start agrees with the first and ends it."""
     starts = _counting_minimize(monkeypatch)
+    cap_unitary_search(make_op(2, 2, 2, seed=8), restarts=8)
+    assert len(starts) == 1
+    starts.clear()
+    _uncertified(monkeypatch)
     cap_unitary_search(make_op(2, 2, 2, seed=8), restarts=8)
     assert len(starts) == 2
 
 
 def test_unitary_search_runs_every_start_while_none_agree(monkeypatch):
-    """Starts whose values lie 1e-6 apart, far above tol, never agree: all
-    of them run, and the winner is the lowest, wherever it comes."""
+    """With no certificate, starts whose values lie 1e-6 apart, far above
+    tol, never agree: all of them run, and the winner is the lowest,
+    wherever it comes."""
+    _uncertified(monkeypatch)
     offsets = 1e-6 * np.array([4.0, 1.0, 3.0, 2.0])
     starts = _counting_minimize(monkeypatch, offsets)
     report = cap_unitary_search(make_op(2, 2, 2, seed=8), restarts=4)
@@ -860,15 +882,204 @@ def test_unitary_search_runs_every_start_while_none_agree(monkeypatch):
 
 
 def test_unitary_search_criterion_06_corpus_needs_few_evaluations():
-    """The agreement stop cuts the mean oracle calls of four starts on the
-    criterion-06 corpus from 38.9 to 22.6 at n = 2 and from 91.7 to 57.9 at
-    n = 3, counted by report.iterations."""
+    """The certified stop cuts the mean oracle calls of four starts on the
+    criterion-06 corpus to 11.3 at n = 2 and 39.3 at n = 3, counted by
+    report.iterations; the agreement stop alone took 22.6 and 57.9, and
+    every start 38.9 and 91.7. Every report is unflagged, and its lower
+    bound is at most its value."""
     evals = {2: [], 3: []}
     for t in _criterion_06_corpus():
-        evals[t.n].append(cap_unitary_search(t, restarts=4).iterations)
+        report = cap_unitary_search(t, restarts=4)
+        evals[t.n].append(report.iterations)
+        assert report.flags == ()
+        assert 0.0 < report.lower <= report.value
     assert len(evals[2]) == len(evals[3]) == 15
-    assert np.mean(evals[2]) < 30
-    assert np.mean(evals[3]) < 70
+    assert np.mean(evals[2]) < 15
+    assert np.mean(evals[3]) < 50
+
+
+def _points_in_sum_zero_chart(n: int, m: int) -> np.ndarray:
+    """The distinct exponents of _diag_exponents(n, m) in an orthonormal
+    basis of the hyperplane sum = 0 that holds them, so distances keep."""
+    q = np.linalg.qr(np.vstack([np.ones(n), np.eye(n)[:-1]]).T)[0][:, 1:]
+    return np.unique(np.round(_diag_exponents(n, m) @ q, 12), axis=0)
+
+
+def _hull_distance(points: np.ndarray) -> float:
+    """Distance from 0 to conv(points): min |sum_i l_i p_i| over the simplex,
+    solved as non-negative least squares with the row sum l_i = 1 weighted
+    by 1e6; the weights, rescaled to sum 1, give a point of the hull whose
+    norm is off by about 1e-12."""
+    from scipy.optimize import nnls
+
+    big = 1e6
+    lhs = np.vstack([points.T, big * np.ones(len(points))])
+    lam = nnls(lhs, np.concatenate([np.zeros(points.shape[1]), [big]]))[0]
+    return float(np.linalg.norm(points.T @ (lam / lam.sum())))
+
+
+def _margin_by_subsets(n: int, m: int) -> float:
+    """The weight margin by brute force over every subset of exponents."""
+    points = _points_in_sum_zero_chart(n, m)
+    distances = [
+        _hull_distance(points[list(subset)])
+        for size in range(1, len(points) + 1)
+        for subset in itertools.combinations(range(len(points)), size)
+    ]
+    return min(d for d in distances if d > 1e-7)
+
+
+def _margin_by_half_spaces(n: int, m: int) -> float:
+    """The weight margin for n = 4, by exact enumeration of the open
+    half-spaces <w, u> > 0: a subset S with 0 outside conv(S) lies in one,
+    so the least distance is taken over those that are maximal. They are
+    the cells of the arrangement of the planes w.u = 0 in the 3-dimensional
+    chart, and each cell touches a vertex, a ray r = u_i x u_j: around r,
+    one w per sector between the planes through r lands in every cell
+    there."""
+    points = _points_in_sum_zero_chart(n, m)
+    assert points.shape[1] == 3
+    cells = set()
+    for p, q in itertools.combinations(points, 2):
+        ray = np.cross(p, q)
+        if np.linalg.norm(ray) < 1e-9:
+            continue
+        ray /= np.linalg.norm(ray)
+        t1 = np.cross(ray, p) / np.linalg.norm(np.cross(ray, p))
+        t2 = np.cross(ray, t1)
+        through = points[np.abs(points @ ray) < 1e-9]
+        # the plane of u meets the tangent plane at r in the line at angle(u) + pi/2
+        angles = np.unique(np.round(np.arctan2(through @ t2, through @ t1) % np.pi, 9))
+        lines = np.sort(np.concatenate([angles + np.pi / 2, angles + 3 * np.pi / 2]) % (2 * np.pi))
+        sectors = lines + np.diff(np.append(lines, lines[0] + 2 * np.pi)) / 2
+        for sign in (1.0, -1.0):
+            for angle in sectors:
+                w = sign * ray + 1e-6 * (np.cos(angle) * t1 + np.sin(angle) * t2)
+                cells.add(tuple(np.flatnonzero(points @ w > 0)))
+    return min(_hull_distance(points[list(cell)]) for cell in cells)
+
+
+def test_margins_are_rederived_and_rounded_down():
+    """Every _MARGINS entry is the weight margin of its shape to 1e-9 and not
+    above it: by brute force over all subsets up to (3, 3), and by the
+    half-space enumeration at (4, 4). The two enumerations agree on (4, 2),
+    whose 10 exponents brute force can still take."""
+    assert set(_MARGINS) == {(2, 2), (2, 3), (3, 2), (3, 3), (4, 4)}
+    assert abs(_margin_by_half_spaces(4, 2) - _margin_by_subsets(4, 2)) <= 1e-9
+    for (n, m), stored in _MARGINS.items():
+        margin = _margin_by_half_spaces(n, m) if n == 4 else _margin_by_subsets(n, m)
+        assert -1e-12 <= margin - stored <= 1e-9, (n, m, margin, stored)
+
+
+def test_commutative_duality_holds_on_random_sums():
+    """inf Phi >= Phi(y) (1 - |grad log Phi(y)| / gamma(n, m)) for sums over
+    the exponents of _diag_exponents(n, m) with random non-negative weights
+    on random supports, at random points y; where 0 lies outside the hull of
+    the support, Psi = 0 and the bound must be at most 0, which is the
+    margin itself."""
+    rng = np.random.default_rng(3301)
+    checked = {"positive": 0, "zero": 0}
+    for (n, m), margin in _MARGINS.items():
+        u = _diag_exponents(n, m)
+        for _ in range(40):
+            d = rng.exponential(size=len(u)) * (rng.random(len(u)) < 0.5)
+            if not d.any():
+                continue
+            prob = ExpSumProblem(u, d)
+            psi = psi_minimize(prob).value
+            for y in rng.standard_normal((5, n)):
+                weights = d * np.exp(u @ y - (u @ y).max())
+                slope = np.linalg.norm(u.T @ weights) / weights.sum()
+                bound = phi_eval(prob, y) * (1.0 - slope / margin)
+                assert bound <= psi * (1.0 + 1e-9) + 1e-300, (n, m, bound, psi)
+                checked["positive" if psi > 0 else "zero"] += 1
+    assert min(checked.values()) >= 100
+
+
+def test_certified_lower_bounds_cap_near_and_far_from_the_witness():
+    """The operator certificate of _certified_lower, at witnesses X = U
+    diag(e^y) U* taken along the geodesic from the direct route's witness
+    in random directions, never exceeds log cap (the direct value, to
+    rounding), on seeded corpora of every shape with a margin, n != m
+    included; at the witness itself it is tight to 1e-6."""
+    finite = 0
+    for n, m in _MARGINS:
+        for seed in range(6 if n < 4 else 2):
+            t = random_cp(n, m, 2 + seed % 2, rng=4400 + 10 * n + m + 100 * seed)
+            direct = cap_direct_pd(t)
+            assert direct.flags == ()
+            r = np.linalg.cholesky(direct.witness["x"])
+            rng = np.random.default_rng(seed)
+            for s in (0.0, 1e-3, 1e-2, 1e-1, 1.0):
+                x = r @ expm_hermitian(s * random_hermitian(n, rng)) @ r.conj().T
+                w, u = np.linalg.eigh(hermitian_part(x))
+                lower = _certified_lower(t._kraus_stack, u, np.log(w))
+                assert lower <= math.log(direct.value) + 1e-12
+                if s == 0.0:
+                    assert math.log(direct.value) - lower <= 1e-6
+                finite += math.isfinite(lower)
+    assert finite >= 50
+
+
+def _mixed_ladder(n: int, seed: int) -> CPOperator:
+    """_ladder(n) mixed by Haar unitaries on both sides, Kraus u E_ij v:
+    cap = 1, approached but not attained, on a support that no longer lines
+    up with the axes."""
+    rng = np.random.default_rng(seed)
+    u, v = haar_unitary(n, rng), haar_unitary(n, rng)
+    return CPOperator(tuple(u @ k @ v for k in _ladder(n).kraus))
+
+
+@pytest.mark.filterwarnings("ignore:CP operator with n=")
+@pytest.mark.parametrize("n", [3, 4, 5])
+def test_unitary_search_mixed_ladders_never_read_zero(n):
+    """Past the rank gates a T(X) that reads as singular inside the oracle
+    is a numerical breakdown (n = 5, seed 2 read 0.0 Degenerate before): the
+    start stops there as not converged. So no mixed ladder reads 0, a value
+    off by more than 1e-6 carries a flag, and the certified lower bound
+    stays below it."""
+    for seed in (1, 2, 3):
+        report = cap_unitary_search(_mixed_ladder(n, seed), restarts=2)
+        assert report.value > 0.0 and "Degenerate" not in report.flags
+        if abs(report.value - 1.0) > 1e-6:
+            assert report.flags
+        assert report.lower <= 1.0
+
+
+@pytest.mark.filterwarnings("ignore:CP operator with n=")
+def test_cap_flags_a_certified_lower_bound_above_its_value(monkeypatch):
+    """On the mixed ladders at n = 4 the unitary check certifies cap > 0.9;
+    a direct value below that bound (0.0 Degenerate on all three, the open
+    direct-route defect of roadmap item 1) is flagged
+    CertifiedLowerAboveValue, and the value is kept."""
+    checks, real_search = [], capax.capacity.cap_unitary_search
+
+    def recording(*args, **kwargs):
+        checks.append(real_search(*args, **kwargs))
+        return checks[-1]
+
+    monkeypatch.setattr(capax.capacity, "cap_unitary_search", recording)
+    for seed in (1, 2, 3):
+        t = _mixed_ladder(4, seed)
+        report = cap(t, CapacityConfig(check_psi=True, restarts_unitary=2))
+        lower = checks[-1].lower
+        assert lower > 0.9
+        assert report.value == cap_direct_pd(t).value
+        flagged = "CertifiedLowerAboveValue" in report.flags
+        assert flagged == (report.value < lower)
+
+
+def test_unitary_lower_is_below_every_unflagged_value():
+    """On the make_op shapes with a margin, every unflagged unitary report
+    carries a positive lower bound no larger than its own value or the
+    direct value, so cap with the unitary check would not flag it."""
+    for n, m, k in [(2, 2, 2), (2, 2, 3), (2, 3, 2), (3, 2, 2), (3, 3, 2), (4, 4, 2)]:
+        for seed in range(4):
+            t = make_op(n, m, k, seed=seed)
+            report = cap_unitary_search(t, restarts=4)
+            if report.flags:
+                continue
+            assert 0.0 < report.lower <= min(report.value, cap_direct_pd(t).value)
 
 
 def test_cap_facade_homogeneity():
@@ -932,7 +1143,10 @@ def test_report_serialization():
     payload = report_to_dict(report)
     text = json.dumps(payload, sort_keys=True)
     assert json.loads(text)["method"] == "direct_pd"
+    assert json.loads(text)["lower"] is None
     assert report_to_json(report) == text
+    searched = cap_unitary_search(make_op(2, 2, 2, seed=18))
+    assert json.loads(report_to_json(searched))["lower"] == searched.lower > 0.0
 
 
 def test_single_kraus_general_closed_form(rng):
