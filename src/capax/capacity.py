@@ -12,23 +12,22 @@ definite X. Three routes are implemented:
 * ``cap_unitary_search``: the same rank tests and a shrunk-subspace test,
   then cap(T) = inf_U cap0(T_U) where cap0 restricts X to diagonal
   matrices and reduces to a weighted exponential sum, so the outer search
-  runs over unitaries only. Its restarts stop once a certified lower bound
-  (commutative duality with the weight margin of the shape, _MARGINS) is
-  within sqrt(tol) of the best value; the bound is read from the direct
-  route's oracle at a start's witness, for that decision only, and the
-  reported value stays the exponential-sum solve;
+  runs over unitaries only. Each point is solved once; the restarts stop
+  once a certified lower bound (commutative duality with the weight margin
+  of the shape, _MARGINS) from a start's last point is within sqrt(tol) of
+  the best value, and the report is the winning point's solve;
 * ``cap_via_scaling``: the same three rank tests, then alternate row and
   column marginal normalization, T(I) to I_m and T*(I) to (m/n) I_n,
   accumulating determinant corrections.
 
 One kernel, ``_whiten``, serves all three routes: it eigendecomposes a
 marginal T_b(I) of a Kraus stack b, giving (1/m) log det T_b(I), and
-whitens the stack so that its marginal becomes I. The direct route's Newton
-steps take value, gradient and Hessian from ``_geodesic_terms`` on the
-whitened stack A R, where X = R R*. The unitary route whitens A U D^(1/2)
-for the gradient G = T*(T(X)^-1) of its BFGS restarts, the only use of
-scipy.optimize here. The scaling route whitens T(I) and (n/m) T*(I) in
-turn, the column step being the row step on the adjoint stack.
+whitens the stack so that its marginal becomes I. ``_whitened`` adds
+G = T_b*(T_b(I)^-1), from which the direct route's ``_geodesic_terms``
+takes the Hessian on the stack A R, X = R R*, and the unitary route the
+gradient and the certificate of its BFGS restarts (the only use of
+scipy.optimize here) on A U D^(1/2). The scaling route whitens T(I) and
+(n/m) T*(I) in turn, the column step being the row step on the adjoint.
 
 All routes return a CapacityReport carrying the value, a witness when one
 exists, solver residuals, and flags for degenerate or non-converged runs;
@@ -41,12 +40,13 @@ import json
 import math
 from dataclasses import dataclass, field, replace
 from functools import lru_cache
+from typing import NamedTuple
 
 import numpy as np
 
 from .coeffs import _multiindex_table, d_leibniz
 from .cpop import CPOperator, apply
-from .errors import SingularEvaluation, SingularMarginal, SingularMatrix
+from .errors import ConfigError, SingularEvaluation, SingularMarginal, SingularMatrix
 from .expsum import ExpSumProblem, HullTag, PsiResult, psi_minimize
 from .linalg import eigh, expm_hermitian, hermitian_part
 
@@ -172,7 +172,7 @@ def _shrunk_subspace(a: np.ndarray) -> bool:
     (Gurvits 2004 for square T).
 
     A square T is tested by its blow-up: sum_k A_k (x) M_k is singular for
-    seeded random d x d M_k, d = n - 1. At that d it is nonsingular for
+    fixed generic d x d M_k, d = n - 1. At that d it is nonsingular for
     generic M_k exactly when no such V exists (Derksen and Makam 2017).
 
     An m x n T with m != n is tested through the square T (x) Phi of side
@@ -194,7 +194,8 @@ def _shrunk_subspace(a: np.ndarray) -> bool:
         k, m, n = a.shape
     if n == 1:
         return False
-    z = np.random.default_rng(0).standard_normal((2, k, n - 1, n - 1))
+    # generic M_k without numpy.random: the entries sin(j^2), j = 1, 2, ...
+    z = np.sin(np.arange(1.0, 2 * k * (n - 1) ** 2 + 1) ** 2).reshape(2, k, n - 1, n - 1)
     blow_up = np.einsum("kab,kcd->acbd", a, z[0] + 1j * z[1]).reshape(n * (n - 1), -1)
     return np.linalg.matrix_rank(blow_up) < n * (n - 1)
 
@@ -205,12 +206,12 @@ def _zero_capacity(a: np.ndarray) -> bool:
     return _common_kernel(a) or _singular_image(a) or _shrunk_subspace(a)
 
 
-def _diag_psi(t: CPOperator | np.ndarray, tol: float, max_iter: int = 200) -> PsiResult:
+def _diag_psi(t: CPOperator | np.ndarray, tol: float) -> PsiResult:
     """Psi of the diagonal restriction; raises _Degenerate when it vanishes."""
     prob = diag_problem(t)
     if float(prob.d.max(initial=0.0)) <= 1e-300:
         raise _Degenerate
-    res = psi_minimize(prob, tol=tol, max_iter=max_iter)
+    res = psi_minimize(prob, tol=tol)
     if res.value <= 1e-300:
         raise _Degenerate
     return res
@@ -309,6 +310,15 @@ def _whiten(gram: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return w, v / np.sqrt(w)
 
 
+def _whitened(b: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The eigenvalues w of T_b(I) for the (K, m, n) stack b, the whitened
+    stack C = F* b of _whiten, and G = sum_k C_k* C_k = T_b*(T_b(I)^-1): the
+    kernel that the direct and the unitary route share."""
+    w, f = _whiten(_gram(b))
+    c = f.conj().T @ b
+    return w, c, (c.conj().transpose(0, 2, 1) @ c).sum(axis=0)
+
+
 def _geodesic_terms(
     b: np.ndarray, basis: np.ndarray
 ) -> tuple[float, float, np.ndarray, np.ndarray]:
@@ -321,19 +331,18 @@ def _geodesic_terms(
     Q = T_b(I)^-1 the gradient is Re tr(Q T_b(E)) / m and the Hessian
     (Re tr(Q T_b(EF)) - Re tr(Q T_b(E) Q T_b(F))) / m, computed from
     P_i = Q^(1/2) T_b(B_i) Q^(1/2) and T_b*(Q), with Q^(1/2) b taken, up to
-    a unitary, as the whitened stack C = F* b of _whiten. The value's
+    a unitary, as the whitened stack C of _whitened. The value's
     rounding error is taken as eps sum_i (w_max / w_i + |log w_i|) / m over
     the eigenvalues w of T_b(I): each w_i off by eps w_max, and each
     logarithm off by eps of itself. Raises _Degenerate, through _whiten,
     when T_b(I) is singular or not finite.
     """
     m = b.shape[1]
-    wt, f = _whiten(_gram(b))
-    c = f.conj().T @ b
+    wt, c, g = _whitened(b)
     ch = c.conj().transpose(0, 2, 1)
     p = np.einsum("kab,ibc,kcd->iad", c, basis, ch)
     flat = p.reshape(len(basis), m * m)  # n = 1: no directions, an empty chart
-    first = np.einsum("ab,ibc,jca->ij", _gram(ch), basis, basis).real
+    first = np.einsum("ab,ibc,jca->ij", g, basis, basis).real
     hess = (first - (flat @ flat.conj().T).real) / m
     logs = np.log(wt)
     err = float(np.finfo(float).eps * np.sum(wt[-1] / wt + np.abs(logs))) / m
@@ -471,57 +480,56 @@ def _cap_direct(
     return report, r
 
 
-def _unitary_expand(h: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """U = exp(iH) for Hermitian H, with the eigenpairs (w, V) of H."""
-    w, vec = eigh(h)
-    return (vec * np.exp(1j * w)) @ vec.conj().T, w, vec
+class _Point(NamedTuple):
+    """The unitary search's record of one evaluation: U, the Psi solve of
+    T_U, and _whitened's w and G at X = U diag(e^y*) U*, y* the inner
+    minimizer, where the oracle has a gradient (None elsewhere)."""
+
+    u: np.ndarray
+    psi: PsiResult
+    w: np.ndarray | None = None
+    g: np.ndarray | None = None
 
 
 class _NoGradient(Exception):
-    """Internal signal: g has no gradient at this U; args are the value and
-    whether a start that stops here counts as converged."""
+    """Internal signal: g has no gradient at this U; args are the value,
+    the point's _Point and whether a start that stops here converged."""
 
 
-def _unitary_oracle(
-    a: np.ndarray, h: np.ndarray, search_tol: float
-) -> tuple[float, np.ndarray, np.ndarray]:
-    """Value g = (1/m) log Psi(T_U) at U = exp(iH), its exact gradient and
-    the inner minimizer y*.
+def _unitary_oracle(a: np.ndarray, h: np.ndarray, tol: float) -> tuple[float, np.ndarray, _Point]:
+    """Value g = (1/m) log Psi(T_U) at U = exp(iH), Psi solved to tol, its
+    exact gradient, and the point's _Point.
 
     a is the raw (K, m, n) Kraus stack of T. The gradient is the Hermitian
     matrix Z with d/ds g(exp(i(H + sE))) = Re tr(Z E). By the envelope
     theorem the inner minimizer y* stays fixed, so with D = diag(exp y*) and
     G = T*(T(X)^-1) at X = U D U*, dg = (2/m) Re tr(D U* G dU), and dU is
     V (L o V* i dH V) V* with L the divided differences of exp(i.) at the
-    eigenvalues of H = V diag(w) V*. U* G U is G for the stack B = A U at D:
-    the stack C = F* B D^(1/2), whitened by _whiten, has sum_k C_k* C_k =
-    D^(1/2) U* G U D^(1/2), so D U* G U = D^(1/2) (sum_k C_k* C_k) D^(-1/2).
-    Raises _NoGradient where the infimum is not attained, where g has no
-    gradient, and where T(X) reads as singular: past the rank gates it is
-    not, so that is a numerical breakdown, and a start that stops on it is
-    not converged.
+    eigenvalues of H = V diag(w) V*. _whitened on A U D^(1/2) gives
+    D^(1/2) U* G U D^(1/2). Raises _NoGradient where the infimum is not
+    attained, and where T(X) reads as singular: past the rank gates that is
+    a numerical breakdown, and a start that stops on it is not converged.
     """
     m = a.shape[1]
-    u, w, vec = _unitary_expand(h)
+    w, vec = eigh(h)
+    u = (vec * np.exp(1j * w)) @ vec.conj().T  # exp(iH)
     b = a @ u
-    res = _diag_psi(b, search_tol, max_iter=80)
-    value = math.log(res.value) / m
+    res = _diag_psi(b, tol)
+    value, point = math.log(res.value) / m, _Point(u, res)
     if res.classification.tag is not HullTag.INTERIOR_ZERO:
-        raise _NoGradient(value, True)
+        raise _NoGradient(value, point, True)
     root = np.exp(0.5 * res.minimizer)  # D^(1/2)
-    c = b * root
     try:
-        c = _whiten(_gram(c))[1].conj().T @ c
+        wt, _, g = _whitened(b * root)
     except _Degenerate:
-        raise _NoGradient(value, False) from None
-    dgu = _gram(c.conj().transpose(0, 2, 1)) * (root[:, None] / root)  # D U* G U
+        raise _NoGradient(value, point, False) from None
+    dgu = g * (root[:, None] / root)  # D U* G U
     gamma = 1j * _exp_divided_differences(1j * w)  # divided differences of exp(i.)
     inner = (vec.conj().T @ dgu @ u.conj().T @ vec) * gamma.T
-    return value, (2.0 / m) * (vec @ inner @ vec.conj().T), res.minimizer
+    return value, (2.0 / m) * (vec @ inner @ vec.conj().T), point._replace(w=wt, g=g)
 
 
-_SEARCH_TOL = 1e-8  # Psi tolerance per search evaluation; the winner is re-solved at _PSI_TOL
-_PSI_TOL = 1e-10
+_PSI_TOL = 1e-10  # Psi tolerance of every unitary-search evaluation
 
 # The weight margin gamma(n, m) of _diag_exponents(n, m): the least distance
 # from 0 to conv(S) over the exponent subsets S with 0 outside conv(S),
@@ -537,33 +545,32 @@ _MARGINS = {
 }
 
 
-def _certified_lower(a: np.ndarray, u: np.ndarray, y: np.ndarray) -> float:
-    """A certified lower bound on log cap(T) from the witness X = U diag(e^y) U*
-    of the (K, m, n) stack a, y the inner minimizer of Psi(T_U) or any other
-    point: the bound holds at every X, and is tight near the minimizer.
+def _certified_lower(w: np.ndarray, g: np.ndarray, y: np.ndarray) -> float:
+    """A certified lower bound on log cap(T) from the eigenvalues w of T(X)
+    and G = T*(T(X)^-1) at X = U diag(e^y) U*, as _whitened gives them on
+    A U diag(e^(y/2)): it holds at every X, and is tight near the minimizer.
 
     Commutative duality (Buergisser, Franks, Garg, Oliveira, Walter and
     Wigderson, "Towards a theory of non-commutative optimization", FOCS
     2019): an exponential sum Phi with weight margin gamma has
     inf Phi >= Phi(0) (1 - |grad log Phi(0)| / gamma). On the stack
     b = A U diag(e^((y - mean y)/2)), with |det| = 1 so that cap(T_b) =
-    cap(T), every diagonal problem of T_b V, V unitary, has Phi(0) =
-    det T_b(I) and a gradient of norm at most |G - (m/n) I|_F = m |g|, with
-    G = T_b*(T_b(I)^-1) and g the chart gradient of _geodesic_terms; and
-    cap^m is the infimum of those Psi over V. So log cap >= f + (1/m)
-    log(1 - m |g| / gamma) - err, with f, g and err from _geodesic_terms on
-    b. -inf when the shape has no margin, m |g| >= gamma, or T_b(I) reads
-    as singular.
+    cap(T), every diagonal problem of T_b V, V unitary, has
+    log Phi(0) / m = f = (1/m) sum(log w) - mean y and a gradient of norm
+    at most |G - (m/n) I|_F (G does not change with the shift); cap^m is
+    the infimum of those Psi over V. So log cap >= f - err +
+    (1/m) log(1 - |G - (m/n) I|_F / gamma), with err the rounding of
+    _geodesic_terms plus eps sum|y| for the shift; -inf when the shape has
+    no margin or the log is undefined.
     """
-    m, n = a.shape[1:]
+    m, n = len(w), len(y)
     margin = _MARGINS.get((n, m))
     if margin is None:
         return -math.inf
-    try:
-        f, err, grad, _ = _geodesic_terms(a @ u * np.exp(0.5 * (y - y.mean())), _herm_basis(n))
-    except _Degenerate:
-        return -math.inf
-    slack = 1.0 - m * float(np.linalg.norm(grad)) / margin
+    logs = np.log(w)
+    f = float(np.sum(logs)) / m - float(np.mean(y))
+    err = float(np.finfo(float).eps * (np.sum(w[-1] / w + np.abs(logs)) / m + np.sum(np.abs(y))))
+    slack = 1.0 - float(np.linalg.norm(g - (m / n) * np.eye(n))) / margin
     return f + math.log(slack) / m - err if slack > 0 else -math.inf
 
 
@@ -579,28 +586,29 @@ def cap_unitary_search(
     U = exp(iH), H traceless Hermitian (the global phase of U does not
     change cap0), on g(U) = (1/m) log Psi(T_U) with the exact envelope
     gradient of _unitary_oracle; identity start plus seeded random
-    restarts, a cheap exponential-sum solve per evaluation and one tight
-    solve at the winner, whose value is the one reported.
+    restarts. Each evaluation solves Psi once, to _PSI_TOL, into a _Point,
+    and the report is the winning start's last _Point. With n = 1, U is a
+    phase and the one point, the identity, is evaluated without BFGS.
 
-    restarts is the most starts run. After each start the search keeps L,
-    the largest certified lower bound on log cap at a start's witness so
-    far (_certified_lower, none where the diagonal infimum is not attained),
-    and stops once the best value is within sqrt(tol) of L, the scale of
-    the gradient test below, or once a start's value is within tol of the
-    best before it. The certificate rejects a near-stationary identity
-    above the infimum (criterion-06 draw 7199: BFGS stops there after 0
-    iterations, 1.3e-2 relative above cap). It reads the direct route's
-    oracle, but only to decide whether to restart: the reported value stays
-    the Psi solve, so the route remains independent of the direct one. The
-    report's lower is exp(L), 0.0 when no start is certified.
+    restarts is the most starts run, at least 1 (ConfigError otherwise).
+    After each start the search keeps L, the largest certified lower bound
+    on log cap so far (_certified_lower at the _Point where a start
+    stopped, none where its infimum is not attained), and stops once the
+    best value is within sqrt(tol) of L, the scale of the gradient test
+    below, or once a start's value is within tol of the best before it. The
+    certificate rejects near-stationary points above the infimum, as the
+    identity of criterion-06 draw 7199. The report's lower is exp(L), 0.0
+    when no start is certified.
 
     A restart that reaches a U whose diagonal infimum is not attained stops
-    there (g has no gradient at such a U); when it wins, the tight solve
-    flags InfimumNotAttained. tol is the accuracy asked of g, so the
-    gradient test is |grad g| <= sqrt(tol); NoConvergence marks a winning
-    restart that stopped short of it, or on a numerical breakdown of the
-    oracle. The report's iterations count objective evaluations.
+    there (g has no gradient at such a U); when it wins, the report flags
+    InfimumNotAttained. tol is the accuracy asked of g, so the gradient
+    test is |grad g| <= sqrt(tol); NoConvergence marks a winning restart
+    that stopped short of it, or on a numerical breakdown of the oracle.
+    The report's iterations count objective evaluations.
     """
+    if restarts < 1:
+        raise ConfigError(f"restarts must be at least 1, got {restarts}")
     a = t._kraus_stack
     degenerate = CapacityReport(0.0, Method.PSI_UNITARY, 0.0, 0, None, ("Degenerate",))
     if _zero_capacity(a):
@@ -608,17 +616,14 @@ def cap_unitary_search(
     n, dim = t.n, t.n * t.n - 1
     basis = _herm_basis(n)
     flat_basis = basis.reshape(dim, n * n).conj()
-    evals, last, inner = 0, None, {}  # the last point evaluated; y* at each point
+    evals, points = 0, {}  # the _Point of each evaluated v, by v.tobytes()
 
     def objective(v: np.ndarray) -> tuple[float, np.ndarray]:
-        nonlocal evals, last
-        evals, last = evals + 1, v.copy()
+        nonlocal evals
+        evals += 1
         h = np.tensordot(v, basis, axes=1)
-        val, grad, inner[v.tobytes()] = _unitary_oracle(a, h, _SEARCH_TOL)
+        val, grad, points[v.tobytes()] = _unitary_oracle(a, h, _PSI_TOL)
         return val, (flat_basis @ grad.reshape(n * n)).real
-
-    def expand(v: np.ndarray) -> np.ndarray:
-        return _unitary_expand(np.tensordot(v, basis, axes=1))[0]
 
     # Near a minimum the value error is about |grad|^2, so tol on the value
     # asks for sqrt(tol) on the gradient; below 1e-7 the line search can no
@@ -626,30 +631,30 @@ def cap_unitary_search(
     options = {"gtol": math.sqrt(max(tol, 1e-14)), "maxiter": 200}
     rng = np.random.default_rng(seed)
     starts = [np.zeros(dim)] + [0.8 * rng.standard_normal(dim) for _ in range(restarts - 1)]
-    best, lower = (math.inf, np.zeros(dim), True), -math.inf  # value, coordinates, converged
+    best, lower = (math.inf, None, True), -math.inf  # value, _Point, converged of the winner
     try:
-        for v0 in starts if dim else ():  # n = 1: nothing to search
+        for v0 in starts if dim else starts[:1]:
             try:
-                res = minimize(objective, v0, jac=True, method="BFGS", options=options)
+                if dim:  # res.x is a point BFGS evaluated
+                    res = minimize(objective, v0, jac=True, method="BFGS", options=options)
+                    found = (float(res.fun), points[res.x.tobytes()], bool(res.success))
+                else:  # n = 1: U is a phase, so the identity is the one point
+                    found = (objective(v0)[0], points[v0.tobytes()], True)
             except _NoGradient as stop:
-                found = (stop.args[0], last, stop.args[1])
-            else:
-                found = (float(res.fun), res.x, bool(res.success))
-                # res.x is a point BFGS evaluated, so its y* is at hand
-                y = inner.get(res.x.tobytes())
-                if y is not None:
-                    lower = max(lower, _certified_lower(a, expand(res.x), y))
+                found = stop.args
+            point = found[1]
+            if point.w is not None:
+                lower = max(lower, _certified_lower(point.w, point.g, point.psi.minimizer))
             agreed = abs(found[0] - best[0]) <= tol
             if found[0] < best[0]:
                 best = found
             if agreed or best[0] - lower <= options["gtol"]:
                 break
-        u_best = expand(best[1])
-        final = _diag_psi(a @ u_best, _PSI_TOL)
     except _Degenerate:
         return replace(degenerate, iterations=evals)
-    report = replace(_psi_report(final, t.m, evals, u_best), lower=math.exp(lower))
-    return report if best[2] else replace(report, flags=report.flags + ("NoConvergence",))
+    _, point, converged = best
+    report = replace(_psi_report(point.psi, t.m, evals, point.u), lower=math.exp(lower))
+    return report if converged else replace(report, flags=report.flags + ("NoConvergence",))
 
 
 def _distance_from_scalar(h: np.ndarray, c: float) -> float:
@@ -766,15 +771,10 @@ def cap(t: CPOperator, config: CapacityConfig | None = None) -> CapacityReport:
 
 
 def report_to_dict(report: CapacityReport) -> dict:
-    witness = None
-    if report.witness is not None:
-        witness = {}
-        for key, val in report.witness.items():
-            arr = np.asarray(val)
-            if arr.ndim == 2:
-                witness[key] = _matrix_json(arr)
-            else:
-                witness[key] = [float(v) for v in np.asarray(arr, dtype=float)]
+    witness = None if report.witness is None else {
+        key: _matrix_json(val) if np.ndim(val) == 2 else [float(v) for v in np.asarray(val, float)]
+        for key, val in report.witness.items()
+    }
     return {
         "value": report.value,
         "method": report.method.value,

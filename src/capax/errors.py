@@ -89,4 +89,4 @@ class SingularEvaluation(CapaxError, ValueError):
 
 
 class ConfigError(CapaxError, ValueError):
-    """Invalid configuration file or unknown configuration key."""
+    """Invalid configuration file or key, or an option out of range, such as restarts < 1."""

@@ -10,8 +10,10 @@ from numpy.testing import assert_allclose
 from capax import (
     CapacityConfig,
     CompactFamily,
+    ConfigError,
     CPOperator,
     ExpSumProblem,
+    HullTag,
     Method,
     SingularEvaluation,
     SingularMarginal,
@@ -52,13 +54,14 @@ from capax.capacity import (
     _gram,
     _herm_basis,
     _shrunk_subspace,
-    _unitary_expand,
     _unitary_oracle,
     _whiten,
+    _whitened,
     _whiten_marginal,
     _zero_capacity,
 )
 from capax.cpop import apply, conjugate_unitary, dual_apply
+from capax.linalg import eigh
 from conftest import make_op
 
 
@@ -368,7 +371,9 @@ def test_direct_edge_inputs_match_reference(n, m, k, seed, scale, expected):
 @pytest.mark.parametrize("m,k", [(1, 1), (1, 3), (2, 3), (3, 4)])
 def test_direct_one_dimensional_input(m, k):
     """n = 1: every X is a scalar x > 0 and det T(x)^(1/m) / x = det T(1)^(1/m),
-    so the chart has no directions and the value is the one at X = I."""
+    so the chart has no directions and the value is the one at X = I. The
+    unitary route, whose U is then a phase, evaluates that one point and
+    runs no BFGS."""
     t = make_op(1, m, k, seed=10 * m + k)
     report = cap_direct_pd(t)
     exact = np.linalg.det(apply(t, np.eye(1))).real ** (1.0 / m)
@@ -376,6 +381,11 @@ def test_direct_one_dimensional_input(m, k):
     assert report.flags == ()
     assert report.residual == 0.0
     assert_allclose(report.witness["x"], np.eye(1), atol=0.0)
+    searched = cap_unitary_search(t)
+    assert abs(searched.value - exact) <= 1e-13 * exact
+    assert searched.flags == ()
+    assert searched.iterations == 1
+    assert_allclose(searched.witness["x"], np.eye(1), atol=0.0)
 
 
 def test_direct_exact_zero_gradient_is_not_a_zero_division():
@@ -833,7 +843,7 @@ def _counting_minimize(monkeypatch, offsets=None):
 def _uncertified(monkeypatch):
     """Take the certificate out of the unitary search's stop, which then
     rests on agreement between starts alone."""
-    monkeypatch.setattr(capax.capacity, "_certified_lower", lambda *args: -math.inf)
+    monkeypatch.setattr(capax.capacity, "_MARGINS", {})
 
 
 def test_unitary_search_leaves_the_near_stationary_identity(monkeypatch):
@@ -876,14 +886,62 @@ def test_unitary_search_runs_every_start_while_none_agree(monkeypatch):
     report = cap_unitary_search(make_op(2, 2, 2, seed=8), restarts=4)
     assert len(starts) == 4
     winner = starts[int(np.argmin([fun for fun, _ in starts]))][1]
-    expected = _unitary_expand(np.tensordot(winner, _herm_basis(2), axes=1))[0]
-    assert np.array_equal(report.witness["unitary"], expected)
+    w, vec = eigh(np.tensordot(winner, _herm_basis(2), axes=1))
+    assert np.array_equal(report.witness["unitary"], (vec * np.exp(1j * w)) @ vec.conj().T)
     assert np.array_equal(winner, starts[1][1])
+
+
+def test_unitary_search_refuses_fewer_than_one_start():
+    """restarts is the most starts run, so fewer than one is a ConfigError,
+    from cap_unitary_search and from cap's unitary check alike."""
+    t = make_op(2, 2, 2, seed=8)
+    for restarts in (0, -3):
+        with pytest.raises(ConfigError, match="restarts must be at least 1"):
+            cap_unitary_search(t, restarts=restarts)
+        with pytest.raises(ConfigError):
+            cap(t, CapacityConfig(restarts_unitary=restarts, check_psi=True))
+    assert cap(t, CapacityConfig(restarts_unitary=0)).value == cap_direct_pd(t).value
+
+
+def _recording(monkeypatch, name, results):
+    """Wrap capax.capacity.<name> so that each call appends its result to
+    results."""
+    real = getattr(capax.capacity, name)
+
+    def wrapper(*args, **kwargs):
+        results.append(real(*args, **kwargs))
+        return results[-1]
+
+    monkeypatch.setattr(capax.capacity, name, wrapper)
+
+
+@pytest.mark.parametrize("n,m,k,seed", [(2, 2, 2, 7), (2, 3, 2, 3), (3, 3, 2, 1)])
+def test_unitary_search_solves_each_point_once(monkeypatch, n, m, k, seed):
+    """Every evaluation solves Psi once, to _PSI_TOL, and whitens T(X) once
+    where the infimum is attained; the certificate and the report read that
+    solve and that whitening, so there are as many Psi solves as evaluations
+    and as many whitenings as attained evaluations, and the report's value,
+    residual and witness are the winning evaluation's, bit for bit (a
+    second, tighter solve of the winner moved them on these inputs)."""
+    solves, whitenings = [], []
+    _recording(monkeypatch, "_diag_psi", solves)
+    _recording(monkeypatch, "_whiten", whitenings)
+    report = cap_unitary_search(make_op(n, m, k, seed=seed), restarts=4)
+    assert report.flags == () and report.lower > 0.0
+    assert len(solves) == report.iterations
+    evaluations = solves[: report.iterations]
+    attained = [res for res in evaluations if res.classification.tag is HullTag.INTERIOR_ZERO]
+    assert len(whitenings) == len(attained)
+    y = report.witness["diag_log"]
+    winners = [res for res in evaluations if np.array_equal(res.minimizer, y)]
+    assert len(winners) >= 1
+    assert report.value == winners[0].value ** (1.0 / m)
+    assert report.residual == winners[0].grad_residual
 
 
 def test_unitary_search_criterion_06_corpus_needs_few_evaluations():
     """The certified stop cuts the mean oracle calls of four starts on the
-    criterion-06 corpus to 11.3 at n = 2 and 39.3 at n = 3, counted by
+    criterion-06 corpus to 11.3 at n = 2 and 39.0 at n = 3, counted by
     report.iterations; the agreement stop alone took 22.6 and 57.9, and
     every start 38.9 and 91.7. Every report is unflagged, and its lower
     bound is at most its value."""
@@ -1013,7 +1071,8 @@ def test_certified_lower_bounds_cap_near_and_far_from_the_witness():
             for s in (0.0, 1e-3, 1e-2, 1e-1, 1.0):
                 x = r @ expm_hermitian(s * random_hermitian(n, rng)) @ r.conj().T
                 w, u = np.linalg.eigh(hermitian_part(x))
-                lower = _certified_lower(t._kraus_stack, u, np.log(w))
+                wt, _, g = _whitened(t._kraus_stack @ u * np.sqrt(w))
+                lower = _certified_lower(wt, g, np.log(w))
                 assert lower <= math.log(direct.value) + 1e-12
                 if s == 0.0:
                     assert math.log(direct.value) - lower <= 1e-6

@@ -83,6 +83,16 @@ def test_cap_restarts_set_the_unitary_cross_check(capsys, tmp_path):
     assert out == json.dumps(report_to_dict(expected), sort_keys=True) + "\n"
 
 
+@pytest.mark.parametrize("extra", [["--method", "psi"], ["--check-psi"]])
+def test_cap_refuses_fewer_than_one_restart(capsys, tmp_path, extra):
+    """--restarts 0 asks for no unitary-search start: a ConfigError, exit 2."""
+    path = tmp_path / "op.json"
+    path.write_text(to_json(make_op(2, 2, 2, seed=3)))
+    code, out, err = _run(capsys, ["cap", str(path), "--restarts", "0"] + extra)
+    assert code == 2 and out == ""
+    assert "ConfigError: restarts must be at least 1" in err
+
+
 def test_cap_on_a_zero_capacity_operator_reports_degenerate(capsys, tmp_path):
     """Kraus operators with a common kernel (K m = 2 < n = 3), or a singular
     T(I) (K n = 4 < m = 5): the direct route reports Degenerate with value

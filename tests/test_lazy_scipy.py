@@ -1,4 +1,5 @@
-"""scipy is loaded on first use: the import contract and the rebindable entry points."""
+"""scipy is loaded on first use: the import contract and the rebindable entry
+points; and the rank gates run without numpy.random."""
 import json
 import os
 import subprocess
@@ -62,6 +63,29 @@ def test_import_and_scipy_free_verbs_leave_scipy_unloaded(tmp_path):
     ).stdout
     names = ["import capax"] + [argv[0] for argv in verbs]
     assert out.strip() == str({name: [] for name in names})
+
+
+def test_scale_leaves_numpy_random_unloaded(tmp_path):
+    """capax scale runs the zero-capacity rank gates, whose blow-up matrices
+    come from a fixed hash sequence, so a fresh process never imports
+    numpy.random."""
+    t = capax.random_cp(2, 2, 2, scale=0.5, rng=np.random.default_rng(4100))
+    op = tmp_path / "op.json"
+    op.write_text(capax.to_json(t))
+    check = (
+        "import contextlib, io, sys\n"
+        "from capax.cli import main\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        "    code = main(['scale', sys.argv[1]])\n"
+        "print(code, 'numpy.random' in sys.modules)\n"
+    )
+    src = os.path.dirname(os.path.dirname(capax.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    out = subprocess.run(
+        [sys.executable, "-c", check, str(op)],
+        capture_output=True, text=True, env=env, timeout=120, check=True,
+    ).stdout
+    assert out.strip() == "0 False"
 
 
 def test_rebound_entry_points_see_every_call(monkeypatch):
