@@ -1,33 +1,28 @@
 """Capacity of a completely positive operator.
 
 cap(T) is the infimum of det(T(X))^(1/m) / det(X)^(1/n) over positive
-definite X. Three routes are implemented:
+definite X. On every route cap(T) = 0 is decided first, and only, by the
+rank tests of _zero_capacity, and reported as Degenerate. Three routes:
 
-* ``cap_direct_pd``: rank tests for a common kernel and a singular T(I)
-  (cap = 0), then one regularized Newton descent from X = I in the
-  geodesic chart X^(1/2) exp(E) X^(1/2), where the objective is convex,
-  with the exact Hessian and an Armijo line search, stopped on its Newton
-  decrement at tol; the final gradient decides NoConvergence. The probes
-  of holderlab start it from a nearby witness through _cap_direct;
-* ``cap_unitary_search``: the same rank tests and a shrunk-subspace test,
-  then cap(T) = inf_U cap0(T_U) where cap0 restricts X to diagonal
-  matrices and reduces to a weighted exponential sum, so the outer search
-  runs over unitaries only. Each point is solved once; the restarts stop
-  once a certified lower bound (commutative duality with the weight margin
-  of the shape, _MARGINS) from a start's last point is within sqrt(tol) of
-  the best value, and the report is the winning point's solve;
-* ``cap_via_scaling``: the same three rank tests, then alternate row and
-  column marginal normalization, T(I) to I_m and T*(I) to (m/n) I_n,
-  accumulating determinant corrections.
+* ``cap_direct_pd``: one regularized Newton descent from X = I in the
+  geodesic chart, where the objective is convex, on the whitened stack,
+  stopped on its Newton decrement at tol (holderlab warm-starts it);
+* ``cap_unitary_search``: cap(T) = inf_U cap0(T_U), where cap0 restricts X
+  to diagonal matrices and reduces to a weighted exponential sum, so the
+  outer search runs over unitaries only. Each point is solved once; the
+  restarts stop once a certified lower bound (commutative duality with the
+  weight margin of the shape, _MARGINS) is within sqrt(tol) of the best
+  value, and the report is the winning point's solve;
+* ``cap_via_scaling``: alternate row and column marginal normalization,
+  T(I) to I_m and T*(I) to (m/n) I_n, accumulating determinant corrections.
 
 One kernel, ``_whiten``, serves all three routes: it eigendecomposes a
 marginal T_b(I) of a Kraus stack b, giving (1/m) log det T_b(I), and
 whitens the stack so that its marginal becomes I. ``_whitened`` adds
-G = T_b*(T_b(I)^-1), from which the direct route's ``_geodesic_terms``
-takes the Hessian on the stack A R, X = R R*, and the unitary route the
-gradient and the certificate of its BFGS restarts (the only use of
-scipy.optimize here) on A U D^(1/2). The scaling route whitens T(I) and
-(n/m) T*(I) in turn, the column step being the row step on the adjoint.
+G = T_b*(T_b(I)^-1), from which the direct route's ``_chart_terms`` takes
+the Hessian, and the unitary route the gradient and certificate of its
+BFGS restarts (scipy.optimize) on A U D^(1/2). The scaling route whitens
+T(I) and (n/m) T*(I) in turn.
 
 All routes return a CapacityReport carrying the value, a witness when one
 exists, solver residuals, and flags for degenerate or non-converged runs;
@@ -38,6 +33,7 @@ from __future__ import annotations
 import enum
 import json
 import math
+from contextlib import suppress
 from dataclasses import dataclass, field, replace
 from functools import lru_cache
 from typing import NamedTuple
@@ -151,7 +147,7 @@ def _matrix_json(a: np.ndarray) -> list:
 
 
 class _Degenerate(Exception):
-    """Internal signal: det(T(X)) or Psi collapses to zero, so cap(T) = 0."""
+    """Internal signal: det(T(X)) or Psi reads 0; past _zero_capacity, a breakdown."""
 
 
 def _common_kernel(a: np.ndarray) -> bool:
@@ -194,16 +190,29 @@ def _shrunk_subspace(a: np.ndarray) -> bool:
         k, m, n = a.shape
     if n == 1:
         return False
-    # generic M_k without numpy.random: the entries sin(j^2), j = 1, 2, ...
-    z = np.sin(np.arange(1.0, 2 * k * (n - 1) ** 2 + 1) ** 2).reshape(2, k, n - 1, n - 1)
-    blow_up = np.einsum("kab,kcd->acbd", a, z[0] + 1j * z[1]).reshape(n * (n - 1), -1)
+    blow_up = np.einsum("kab,kcd->acbd", a, _generic(k, n - 1, n - 1)).reshape(n * (n - 1), -1)
     return np.linalg.matrix_rank(blow_up) < n * (n - 1)
 
 
+def _generic(*shape: int) -> np.ndarray:
+    """Fixed generic complex entries, sin(j^2), without numpy.random."""
+    z = np.sin(np.arange(1.0, 2 * math.prod(shape) + 1) ** 2).reshape(2, *shape)
+    return z[0] + 1j * z[1]
+
+
 def _zero_capacity(a: np.ndarray) -> bool:
-    """cap(T) = 0 for the raw stack a, decided by rank tests: a common
-    kernel, a singular T(I) or a shrunk subspace."""
-    return _common_kernel(a) or _singular_image(a) or _shrunk_subspace(a)
+    """cap(T) = 0 for the raw (K, m, n) stack a: the one source of
+    Degenerate on the three routes. First a certificate of cap > 0: if
+    B = sum_k A_k (x) C_k, with fixed generic (L/m) x (L/n) C_k, L = lcm(n, m),
+    is nonsingular, then dim B V = dim V, so T (x) Phi of _shrunk_subspace,
+    and with it T, shrinks no subspace. Only a singular B runs the rank tests
+    that decide: a common kernel, a singular T(I) or a shrunk subspace.
+    """
+    k, m, n = a.shape
+    side = math.lcm(n, m)
+    b = np.einsum("kab,kcd->acbd", a, _generic(k, side // m, side // n)).reshape(side, side)
+    certified = np.linalg.matrix_rank(b) == side
+    return not certified and (_common_kernel(a) or _singular_image(a) or _shrunk_subspace(a))
 
 
 def _diag_psi(t: CPOperator | np.ndarray, tol: float) -> PsiResult:
@@ -322,20 +331,26 @@ def _whitened(b: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
 def _geodesic_terms(
     b: np.ndarray, basis: np.ndarray
 ) -> tuple[float, float, np.ndarray, np.ndarray]:
+    """The value, its rounding error, gradient and Hessian of _chart_terms."""
+    return _chart_terms(b, basis)[:4]
+
+
+def _chart_terms(
+    b: np.ndarray, basis: np.ndarray
+) -> tuple[float, float, np.ndarray, np.ndarray, np.ndarray]:
     """Value, its rounding error, gradient and Hessian at E = 0 of
     f(E) = (1/m) log det T_b(exp E), in the coordinates of basis, for the
-    rebased (K, m, n) stack b.
+    rebased (K, m, n) stack b, and the whitened stack C = F* b of _whitened,
+    whose chart is the one at b with the value shifted to 0.
 
-    For the stack A R of T, T_b(exp E) = T(R exp(E) R*), so this is the
-    objective in the geodesic chart at X = R R*, where f is convex. With
-    Q = T_b(I)^-1 the gradient is Re tr(Q T_b(E)) / m and the Hessian
-    (Re tr(Q T_b(EF)) - Re tr(Q T_b(E) Q T_b(F))) / m, computed from
-    P_i = Q^(1/2) T_b(B_i) Q^(1/2) and T_b*(Q), with Q^(1/2) b taken, up to
-    a unitary, as the whitened stack C of _whitened. The value's
-    rounding error is taken as eps sum_i (w_max / w_i + |log w_i|) / m over
-    the eigenvalues w of T_b(I): each w_i off by eps w_max, and each
-    logarithm off by eps of itself. Raises _Degenerate, through _whiten,
-    when T_b(I) is singular or not finite.
+    For the stack A R of T, T_b(exp E) = T(R exp(E) R*): the geodesic chart
+    at X = R R*, where f is convex. With Q = T_b(I)^-1 the gradient is
+    Re tr(Q T_b(E)) / m and the Hessian (Re tr(Q T_b(EF)) -
+    Re tr(Q T_b(E) Q T_b(F))) / m, computed from P_i = C B_i C* and
+    T_b*(Q), C being Q^(1/2) b up to a unitary. The value's rounding is
+    taken as eps sum_i (w_max / w_i + |log w_i|) / m over the eigenvalues w
+    of T_b(I). Raises _Degenerate, through _whiten, when T_b(I) is singular
+    or not finite.
     """
     m = b.shape[1]
     wt, c, g = _whitened(b)
@@ -346,14 +361,12 @@ def _geodesic_terms(
     hess = (first - (flat @ flat.conj().T).real) / m
     logs = np.log(wt)
     err = float(np.finfo(float).eps * np.sum(wt[-1] / wt + np.abs(logs))) / m
-    return float(np.sum(logs)) / m, err, np.trace(p, axis1=1, axis2=2).real / m, hess
+    return float(np.sum(logs)) / m, err, np.trace(p, axis1=1, axis2=2).real / m, hess, c
 
 
-# The geodesic-chart Hessian is scale free with entries of order one: below
-# this, a shifted curvature is rounding, as along the flat directions of K = 1.
-# The floor is absolute, not eps cond(T_b(I)): runs out to infinity, on the
-# boundary bases and the rank-decreasing operators, stay accurate far past
-# that bound, and a floor there would stop them.
+# The geodesic-chart Hessian is scale free with entries of order one, and on
+# the whitened stack its rounding is of order eps: below this, a shifted
+# curvature is rounding, as along the flat directions of K = 1.
 _CURVATURE_FLOOR = 1e-12
 # The boundary base of the sqrt(eps) family takes 48 steps; an unattained
 # infimum shrinks the gradient by about e per step.
@@ -367,21 +380,17 @@ _STALL_GRAD = 1e-6
 # Steps that stay this long (geodesic length) while the gradient falls
 # under _STALL_GRAD follow a minimizing sequence out to infinity.
 _UNATTAINED_STEP = 0.1
-# On a rank-decreasing T without a common kernel or a singular image the
-# objective falls without bound as X runs off along a shrunk subspace. On
-# the rank-decreasing test corpora the descent ends first, when
-# _geodesic_terms finds T_b(I) numerically singular; a fall below the value
-# at X = I by a ratio of e^-40 (about 4e-18, under the rounding of that
-# value) is the backstop that reads such a run as cap = 0.
-_DEGENERATE_DROP = 40.0
 
 
 def _newton_descent(
     a: np.ndarray, basis: np.ndarray, tol: float, r: np.ndarray | None = None
 ) -> tuple[float, np.ndarray, float, int, float]:
     """Regularized Newton descent on the stack a from X = R R*, R = r or I,
-    each step taken in the geodesic chart at the current point: R moves to
-    R exp(S/2).
+    in the geodesic chart at the current point, R moving to R exp(S/2), on
+    the whitened stack (Allen-Zhu, Garg, Li, Oliveira and Wigderson, STOC
+    2018): a trial is evaluated on C exp(S/2), C the kept _chart_terms stack,
+    and its value, the change of f, is added to f, so no evaluation is ill
+    conditioned however far R runs off.
 
     The step is S = -(H+ + |g| I)^-1 g, with H+ the Hessian whose negative
     curvatures are clipped to 0 (Mishchenko, "Regularized Newton method with
@@ -393,18 +402,19 @@ def _newton_descent(
     then about lambda^2 / 2 <= tol^2, so log cap is accurate to tol, and the
     last evaluation is the one reported. An Armijo line search halves S
     until the value falls by 1e-4 of the predicted decrease, less twice the
-    rounding of both values; a non-finite trial value is refused. As a
-    fallback for runs that rounding keeps from the decrement test, the
-    descent also ends when the line search gives out, or when a step no
-    longer lowers a gradient norm of at most _STALL_GRAD. Returns the value,
-    R, the gradient norm, the number of steps kept and the length of the
-    last one. Raises _Degenerate when the value falls _DEGENERATE_DROP below
-    its value at X = I, whatever the start.
+    rounding of the trial and of f, which adds up the rounding of the kept
+    changes; a trial whose value is not finite, or whose marginal reads
+    singular, a breakdown past the rank gate, is refused. As a fallback for
+    runs that rounding keeps from the decrement test, the descent also ends
+    when the line search gives out, or when a step no longer lowers a
+    gradient norm of at most _STALL_GRAD. Returns the value, R, the gradient
+    norm, the steps kept and the last one's length. Raises _Degenerate when
+    T(X) at the start reads singular.
     """
     r = np.eye(a.shape[2], dtype=complex) if r is None else r
-    f, err, grad, hess = _geodesic_terms(a @ r, basis)
-    # the floor is measured from f(I) = (1/m) log det T(I) whatever the start
-    f_floor = np.linalg.slogdet(_gram(a))[1] / a.shape[1] - _DEGENERATE_DROP
+    w, c, _ = _whitened(a @ r)
+    f, err, grad, hess, c = _chart_terms(c, basis)
+    f += float(np.sum(np.log(w))) / a.shape[1]
     grad_norm, steps, last = float(np.linalg.norm(grad)), 0, 0.0
     while steps < _NEWTON_MAX_STEPS:
         w, v = np.linalg.eigh(hess)
@@ -415,43 +425,37 @@ def _newton_descent(
             break
         decrease = 1e-4 * float(grad @ step)
         for _ in range(_MAX_BACKTRACKS):
-            r_next = r @ expm_hermitian(np.tensordot(0.5 * step, basis, axes=1))
-            f_next, err_next, grad_next, hess_next = _geodesic_terms(a @ r_next, basis)
-            if f_next < f_floor:
-                raise _Degenerate
-            if f_next <= f + decrease + 2 * (err + err_next):
-                break
+            move = expm_hermitian(np.tensordot(0.5 * step, basis, axes=1))
+            with suppress(_Degenerate):  # refused, like a value that is not finite
+                change, err_next, grad_next, hess_next, c_next = _chart_terms(c @ move, basis)
+                if change <= decrease + 2 * (err + err_next):
+                    break
             step, decrease = 0.5 * step, 0.5 * decrease
         else:
             break
         norm_next = float(np.linalg.norm(grad_next))
         if grad_norm <= _STALL_GRAD and not norm_next < grad_norm:
             break
-        r, f, err, grad, hess = r_next, f_next, err_next, grad_next, hess_next
-        grad_norm = norm_next
+        r, f, err, c = r @ move, f + change, err + err_next, c_next
+        grad, hess, grad_norm = grad_next, hess_next, norm_next
         steps, last = steps + 1, float(np.linalg.norm(step))
     return f, r, grad_norm, steps, last
 
 
 def cap_direct_pd(t: CPOperator, tol: float = 1e-9) -> CapacityReport:
     """Minimize the capacity ratio over positive definite X by regularized
-    Newton descent in the geodesic chart (_newton_descent) from X = I.
+    Newton descent in the geodesic chart (_newton_descent) from X = I, once
+    _zero_capacity has found cap(T) > 0 (Degenerate otherwise).
 
-    cap(T) = 0 is decided first and exactly when the Kraus operators share
-    a kernel vector or T(I) is singular (_common_kernel, _singular_image):
-    one SVD each, with a relative rank threshold. The objective is
-    geodesically convex, so the one start at X = I reaches the value that
-    any other start would. On the other rank-decreasing operators the
-    descent runs off along a shrunk subspace until _geodesic_terms finds
-    T_b(I) numerically singular, which is also reported as Degenerate; a
-    fall of the objective more than _DEGENERATE_DROP below its value at
-    X = I is the backstop for the same case. tol is the accuracy asked of
-    log cap: the descent stops once its Newton decrement lambda^2 is at most
+    The objective is geodesically convex, so the one start at X = I reaches
+    the value that any other start would. tol is the accuracy asked of log
+    cap: the descent stops once its Newton decrement lambda^2 is at most
     2 tol^2. The residual is the final geodesic gradient norm; NoConvergence
     marks a residual above max(tol, 1e-8), and InfimumNotAttained a run
     whose steps kept a length above _UNATTAINED_STEP to the end while the
-    gradient fell under _STALL_GRAD, the sign of an infimum approached but
-    not attained. The iterations count Newton steps.
+    gradient fell under _STALL_GRAD, an infimum approached but not attained.
+    The iterations count Newton steps. SingularEvaluation is raised when
+    T(I) reads singular past the gate, its condition beyond about 1e16.
     """
     return _cap_direct(t, tol)[0]
 
@@ -459,19 +463,16 @@ def cap_direct_pd(t: CPOperator, tol: float = 1e-9) -> CapacityReport:
 def _cap_direct(
     t: CPOperator, tol: float, start: np.ndarray | None = None
 ) -> tuple[CapacityReport, np.ndarray | None]:
-    """cap_direct_pd with the descent started from X = R R*, R = start (I by
-    default), and the final R, None for a Degenerate report. A start near
-    the minimizer saves steps and, the objective being geodesically convex,
-    reaches the same value; the Degenerate floor stays measured from X = I.
-    """
+    """cap_direct_pd started from X = R R*, R = start (I by default), and the
+    final R (None when Degenerate). A start near the minimizer saves steps
+    and, the objective being geodesically convex, reaches the same value."""
     a = t._kraus_stack
-    degenerate = CapacityReport(0.0, Method.DIRECT_PD, 0.0, 0, None, ("Degenerate",))
-    if _common_kernel(a) or _singular_image(a):
-        return degenerate, None
+    if _zero_capacity(a):
+        return CapacityReport(0.0, Method.DIRECT_PD, 0.0, 0, None, ("Degenerate",)), None
     try:
         f, r, grad_norm, steps, last = _newton_descent(a, _herm_basis(t.n), tol, start)
     except _Degenerate:
-        return degenerate, None
+        raise SingularEvaluation("T(X) at the start reads singular past the rank gate") from None
     flags = ("NoConvergence",) if grad_norm > max(tol, 1e-8) else ()
     if last > _UNATTAINED_STEP and grad_norm <= _STALL_GRAD:
         flags = ("InfimumNotAttained",) + flags
@@ -561,10 +562,11 @@ def _certified_lower(w: np.ndarray, g: np.ndarray, y: np.ndarray) -> float:
     the infimum of those Psi over V. So log cap >= f - err +
     (1/m) log(1 - |G - (m/n) I|_F / gamma), with err the rounding of
     _geodesic_terms plus eps sum|y| for the shift; -inf when the shape has
-    no margin or the log is undefined.
+    no margin or the log is undefined. At n = 1 no exponent subset leaves 0
+    outside its hull, so the margin is infinite and the bound is f - err.
     """
     m, n = len(w), len(y)
-    margin = _MARGINS.get((n, m))
+    margin = math.inf if n == 1 else _MARGINS.get((n, m))
     if margin is None:
         return -math.inf
     logs = np.log(w)
@@ -579,10 +581,8 @@ def cap_unitary_search(
 ) -> CapacityReport:
     """cap(T) as inf over unitaries U of the diagonal capacity of T_U.
 
-    A common kernel, a singular T(I) or a shrunk subspace (_common_kernel,
-    _singular_image, _shrunk_subspace) makes cap(T) zero, which the search
-    would only approach through unattained infima; all three are checked
-    once, up front, and reported as Degenerate. Otherwise BFGS runs over
+    cap(T) = 0, which the search would only approach through unattained
+    infima, is decided up front by _zero_capacity. Otherwise BFGS runs over
     U = exp(iH), H traceless Hermitian (the global phase of U does not
     change cap0), on g(U) = (1/m) log Psi(T_U) with the exact envelope
     gradient of _unitary_oracle; identity start plus seeded random
@@ -610,9 +610,8 @@ def cap_unitary_search(
     if restarts < 1:
         raise ConfigError(f"restarts must be at least 1, got {restarts}")
     a = t._kraus_stack
-    degenerate = CapacityReport(0.0, Method.PSI_UNITARY, 0.0, 0, None, ("Degenerate",))
     if _zero_capacity(a):
-        return degenerate
+        return CapacityReport(0.0, Method.PSI_UNITARY, 0.0, 0, None, ("Degenerate",))
     n, dim = t.n, t.n * t.n - 1
     basis = _herm_basis(n)
     flat_basis = basis.reshape(dim, n * n).conj()
@@ -650,8 +649,8 @@ def cap_unitary_search(
                 best = found
             if agreed or best[0] - lower <= options["gtol"]:
                 break
-    except _Degenerate:
-        return replace(degenerate, iterations=evals)
+    except _Degenerate:  # Psi of some T_U underflows: past the rank gate, not cap = 0
+        raise SingularEvaluation("Psi of T_U underflowed past the rank gate") from None
     _, point, converged = best
     report = replace(_psi_report(point.psi, t.m, evals, point.u), lower=math.exp(lower))
     return report if converged else replace(report, flags=report.flags + ("NoConvergence",))
@@ -682,12 +681,11 @@ def cap_via_scaling(
 ) -> CapacityReport:
     """Capacity through alternating marginal normalization, for every shape.
 
-    A common kernel, a singular T(I) or a shrunk subspace makes cap(T) = 0,
-    which the loop would only approach; the rank tests of the unitary route
-    (_zero_capacity) run once, up front, and report Degenerate. Otherwise
-    the loop alternately normalizes T(I) to I_m and T*(I) to (m/n) I_n, the
-    doubly stochastic form of an m x n operator (Garg, Gurvits, Oliveira and
-    Wigderson 2016), on the raw Kraus stack. The row step whitens T(I) with
+    cap(T) = 0, which the loop would only approach, is decided up front by
+    _zero_capacity. Otherwise the loop alternately normalizes T(I) to I_m
+    and T*(I) to (m/n) I_n, the doubly stochastic form of an m x n operator
+    (Garg, Gurvits, Oliveira and Wigderson 2016), on the raw Kraus stack.
+    The row step whitens T(I) with
     _whiten, A_k -> F* A_k, and gains (1/m) sum(log w) in log cap; the
     column step is the same step on the adjoint stack, whitening
     (n/m) T*(I), A_k -> A_k F, with a gain of (1/n) sum(log w), since

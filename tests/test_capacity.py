@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 import json
 import math
@@ -202,13 +203,13 @@ def test_direct_flags_no_convergence(monkeypatch):
     Newton oracle whose gradient norm cannot fall below 1e-6."""
     for t in (make_op(2, 2, 2, seed=1), make_op(2, 3, 2, seed=2), make_op(3, 3, 2, seed=7)):
         assert cap_direct_pd(t).flags == ()
-    real_terms = capax.capacity._geodesic_terms
+    real_terms = capax.capacity._chart_terms
 
     def stalled(*args):
-        value, err, grad, hess = real_terms(*args)
-        return value, err, grad * max(1.0, 1e-6 / max(np.linalg.norm(grad), 1e-300)), hess
+        value, err, grad, hess, c = real_terms(*args)
+        return value, err, grad * max(1.0, 1e-6 / max(np.linalg.norm(grad), 1e-300)), hess, c
 
-    monkeypatch.setattr(capax.capacity, "_geodesic_terms", stalled)
+    monkeypatch.setattr(capax.capacity, "_chart_terms", stalled)
     report = cap_direct_pd(make_op(2, 2, 2, seed=1))
     assert report.flags == ("NoConvergence",)
     assert report.value > 0.0
@@ -227,26 +228,60 @@ def _boundary_kraus(eps: float = 0.0) -> CPOperator:
     return CPOperator(tuple(units))
 
 
+def _recording_steps(monkeypatch) -> list:
+    """Record the chart step of every trial of the direct descent, as the
+    argument S/2 of its expm_hermitian."""
+    steps, real_expm = [], capax.capacity.expm_hermitian
+
+    def recording(h):
+        steps.append(h)
+        return real_expm(h)
+
+    monkeypatch.setattr(capax.capacity, "expm_hermitian", recording)
+    return steps
+
+
+def _start_value(t: CPOperator) -> float:
+    """(1/m) log det T(I) from the whitening of the start at X = I; the
+    descent's first evaluation, on the whitened stack, reads the rest."""
+    return float(np.sum(np.log(_whitened(t._kraus_stack)[0]))) / t.m
+
+
+def _value_at(t: CPOperator, values: list, steps: list, j: int) -> float:
+    """The descent's value at evaluation j, which it kept: the start's value
+    plus, in order, the change of every kept trial up to j (values[i] of a
+    trial is its change from the point it stepped from). Trial i, whose step
+    is steps[i - 1], is refused when trial i + 1 halves that step."""
+    halved = {i for i in range(1, len(steps)) if np.array_equal(steps[i], 0.5 * steps[i - 1])}
+    f = values[0] + _start_value(t)
+    for i in range(1, j + 1):
+        f = f if i in halved else f + values[i]
+    return f
+
+
 def test_direct_newton_refuses_a_rising_value(monkeypatch):
     """The line search refuses a trial point whose value rises by more than
-    rounding: here every evaluation reads 1 higher than the one before, more
-    than the descent can gain, so every halving of the first step is refused
-    until the line search gives out, and the value is the one at X = I."""
-    real_terms = capax.capacity._geodesic_terms
+    rounding: here evaluation j reads j higher than it is, so every trial
+    reads at least 1 above the start, more than the descent can gain, and
+    every halving of the first step is refused until the line search gives
+    out; the value is the one at X = I."""
+    real_terms = capax.capacity._chart_terms
     values = []
 
     def rising(*args):
-        value, err, grad, hess = real_terms(*args)
+        value, err, grad, hess, c = real_terms(*args)
         values.append(value)
-        return value + len(values), err, grad, hess
+        # a trial reads its change from the start, which reads values[0] + 1
+        return value + len(values) - (len(values) > 1), err, grad, hess, c
 
-    monkeypatch.setattr(capax.capacity, "_geodesic_terms", rising)
-    report = cap_direct_pd(make_op(2, 2, 2, seed=1))
+    monkeypatch.setattr(capax.capacity, "_chart_terms", rising)
+    t = make_op(2, 2, 2, seed=1)
+    report = cap_direct_pd(t)
     assert len(values) == 1 + _MAX_BACKTRACKS
-    assert report.value == math.exp(values[0] + 1)
+    assert report.value == math.exp((values[0] + 1) + _start_value(t))
     assert report.iterations == 0
     # the trial points close in on X = I as the step halves
-    assert abs(values[-1] - values[0]) <= 1e-6 * abs(values[1] - values[0])
+    assert abs(values[-1]) <= 1e-6 * abs(values[1])
 
 
 def test_direct_line_search_refuses_a_rise_of_1e_9(monkeypatch):
@@ -254,41 +289,44 @@ def test_direct_line_search_refuses_a_rise_of_1e_9(monkeypatch):
     1e-9, so a rise of 1e-9 per evaluation from there on is more than
     rounding: every halving of the next step is refused, and the value and
     residual are the ones at the first point under _STALL_GRAD."""
-    real_terms = capax.capacity._geodesic_terms
+    real_terms = capax.capacity._chart_terms
     values, norms = [], []
+    steps = _recording_steps(monkeypatch)
 
     def rising(*args):
-        value, err, grad, hess = real_terms(*args)
+        value, err, grad, hess, c = real_terms(*args)
         values.append(value)
         norms.append(float(np.linalg.norm(grad)))
         below = [i for i, norm in enumerate(norms) if norm <= _STALL_GRAD]
         rise = 1e-9 * (len(values) - 1 - below[0]) if below else 0.0
-        return value + rise, err, grad, hess
+        return value + rise, err, grad, hess, c
 
-    monkeypatch.setattr(capax.capacity, "_geodesic_terms", rising)
-    report = cap_direct_pd(make_op(2, 2, 2, seed=1))
+    monkeypatch.setattr(capax.capacity, "_chart_terms", rising)
+    t = make_op(2, 2, 2, seed=1)
+    report = cap_direct_pd(t)
     first = next(i for i, norm in enumerate(norms) if norm <= _STALL_GRAD)
     assert first >= 1
     assert len(values) == first + 1 + _MAX_BACKTRACKS
-    assert report.value == math.exp(values[first])
+    assert report.value == math.exp(_value_at(t, values, steps, first))
     assert report.residual == norms[first]
 
 
 def test_direct_line_search_refuses_a_nan_value(monkeypatch):
     """A trial value that is NaN counts as refused, never as accepted."""
-    real_terms = capax.capacity._geodesic_terms
+    real_terms = capax.capacity._chart_terms
     values = []
 
     def nan_after_first(*args):
-        value, err, grad, hess = real_terms(*args)
+        value, err, grad, hess, c = real_terms(*args)
         values.append(value)
-        return (value if len(values) == 1 else math.nan), err, grad, hess
+        return (value if len(values) == 1 else math.nan), err, grad, hess, c
 
-    monkeypatch.setattr(capax.capacity, "_geodesic_terms", nan_after_first)
+    monkeypatch.setattr(capax.capacity, "_chart_terms", nan_after_first)
+    t = make_op(2, 2, 2, seed=1)
     with np.errstate(all="raise"):
-        report = cap_direct_pd(make_op(2, 2, 2, seed=1))
+        report = cap_direct_pd(t)
     assert len(values) == 1 + _MAX_BACKTRACKS
-    assert report.value == math.exp(values[0])
+    assert report.value == math.exp(values[0] + _start_value(t))
     assert report.flags == ("NoConvergence",)
 
 
@@ -336,6 +374,46 @@ def test_direct_ladder_bases_are_flagged_unattained(n):
     assert report.flags == ("InfimumNotAttained",)
 
 
+def _ill_conditioned_single_kraus(n: int, c: float, seed: int) -> np.ndarray:
+    """A = U diag(c, sqrt(c), 1, ...) V with Haar U and V: a flat objective
+    whose T(I) has condition 1/c^2."""
+    rng = np.random.default_rng(seed)
+    u, v = haar_unitary(n, rng), haar_unitary(n, rng)
+    d = np.ones(n)
+    d[:2] = c, math.sqrt(c)
+    return u @ np.diag(d) @ v
+
+
+def test_direct_single_kraus_ill_conditioned_corpus():
+    """On the whitened stack the first gradient of a flat objective is
+    rounding of order eps, not eps cond(A A*): no run steps along it into a
+    false InfimumNotAttained, and each value is |det A|^(2/n) to 1e-12. On
+    the unwhitened stack 32 of these 120 runs were flagged."""
+    for n, c, seed in itertools.product((3, 4), (1e-2, 1e-3, 1e-4), range(20)):
+        a = _ill_conditioned_single_kraus(n, c, seed)
+        report = cap_direct_pd(CPOperator((a,)))
+        exact = abs(np.linalg.det(a)) ** (2.0 / n)
+        assert report.flags == ()
+        assert abs(report.value - exact) <= 1e-12 * exact
+
+
+def test_direct_start_that_breaks_down_is_never_degenerate():
+    """Past the rank gate a T(I) that reads singular is a breakdown, not
+    cap = 0: K = 1, n = 2 with T(I) of condition up to 1e16 reads |det A|
+    (the whitening of the start loses digits as the condition grows), and at
+    1e20 it reads |det A| or raises SingularEvaluation, never 0.0."""
+    for c, seed in itertools.product((1e-6, 1e-7, 1e-8, 1e-10), range(5)):
+        rng = np.random.default_rng(seed)
+        a = haar_unitary(2, rng) @ np.diag([1.0, c]) @ haar_unitary(2, rng)
+        try:
+            report = cap_direct_pd(CPOperator((a,)))
+        except SingularEvaluation:
+            assert c == 1e-10
+            continue
+        assert report.flags == ()
+        assert abs(report.value / abs(np.linalg.det(a)) - 1.0) <= (1e-8 if c >= 1e-8 else 1e-6)
+
+
 def test_direct_single_kraus_closed_form():
     """K = 1 and n = m: det T(X) = |det A|^2 det X, so every X is a minimizer
     and the objective is flat; cap = |det A|^(2/n)."""
@@ -373,7 +451,7 @@ def test_direct_one_dimensional_input(m, k):
     """n = 1: every X is a scalar x > 0 and det T(x)^(1/m) / x = det T(1)^(1/m),
     so the chart has no directions and the value is the one at X = I. The
     unitary route, whose U is then a phase, evaluates that one point and
-    runs no BFGS."""
+    runs no BFGS, and its certified lower bound is that value."""
     t = make_op(1, m, k, seed=10 * m + k)
     report = cap_direct_pd(t)
     exact = np.linalg.det(apply(t, np.eye(1))).real ** (1.0 / m)
@@ -386,6 +464,8 @@ def test_direct_one_dimensional_input(m, k):
     assert searched.flags == ()
     assert searched.iterations == 1
     assert_allclose(searched.witness["x"], np.eye(1), atol=0.0)
+    # G = (m/n) I: the certificate is the value, less its rounding
+    assert abs(searched.lower - searched.value) <= 1e-13 * searched.value
 
 
 def test_direct_exact_zero_gradient_is_not_a_zero_division():
@@ -442,6 +522,16 @@ def _singular_image_corpus():
     return [random_cp(n, m, k, rng=100 * s + n) for n, m, k in shapes for s in range(10)]
 
 
+def _zero_capacity_corpus():
+    """145 operators with cap(T) = 0: a common kernel (K m < n), a singular
+    T(I) (K n < m), and rank-decreasing operators without either."""
+    shapes = [(2, 1, 1), (3, 1, 2), (4, 1, 3), (5, 2, 2), (7, 3, 2), (3, 2, 1)]
+    corpus = [random_cp(n, m, k, rng=seed) for n, m, k in shapes for seed in range(10)]
+    corpus += _singular_image_corpus()
+    corpus += [_rank_decreasing(n, seed) for n in (3, 4) for seed in range(20)]
+    return corpus + [_rank_decreasing_rectangular(seed) for seed in range(5)]
+
+
 @pytest.mark.filterwarnings("ignore:CP operator with n=7")
 @pytest.mark.filterwarnings("ignore:CP operator with n=3, m=7")
 def test_direct_zero_capacity_corpora_are_degenerate():
@@ -449,14 +539,10 @@ def test_direct_zero_capacity_corpora_are_degenerate():
     operators with a common kernel (K m < n here) and operators whose T(I)
     is singular (K n < m) are decided by rank tests on every route. The
     rank-decreasing operators without either, square or 2 x 4, are decided
-    by the shrunk-subspace test on the unitary and scaling routes; on the
-    direct route the descent ends when _geodesic_terms finds T_b(I)
-    numerically singular, with the _DEGENERATE_DROP floor as a backstop."""
-    shapes = [(2, 1, 1), (3, 1, 2), (4, 1, 3), (5, 2, 2), (7, 3, 2), (3, 2, 1)]
-    corpus = [random_cp(n, m, k, rng=seed) for n, m, k in shapes for seed in range(10)]
-    corpus += _singular_image_corpus()
-    corpus += [_rank_decreasing(n, seed) for n in (3, 4) for seed in range(20)]
-    corpus += [_rank_decreasing_rectangular(seed) for seed in range(5)]
+    by the shrunk-subspace test. _zero_capacity runs all three on every
+    route, and is the only source of Degenerate there."""
+    corpus = _zero_capacity_corpus()
+    assert len(corpus) == 145
     for route in (cap_direct_pd, cap_unitary_search, cap_via_scaling):
         for t in corpus:
             with np.errstate(all="raise"):
@@ -466,11 +552,11 @@ def test_direct_zero_capacity_corpora_are_degenerate():
 
 
 def test_direct_warm_start_keeps_the_floor_at_the_identity():
-    """A warm start on a rank-decreasing operator still reads Degenerate.
-    The _DEGENERATE_DROP floor is measured from X = I, not from the start:
-    a start whose value lies more than the drop above the minimum of a
-    generic operator, where a floor measured from the start would read
-    Degenerate, reaches the cold value unflagged."""
+    """A warm start on a rank-decreasing operator still reads Degenerate:
+    the rank gate decides before the descent starts. A start whose value
+    lies more than 40 above the minimum of a generic operator, a ratio of
+    e^-40, below the rounding of the value at X = I, reaches the cold value
+    unflagged."""
     corpus = [_rank_decreasing(n, seed) for n in (3, 4) for seed in range(20)]
     corpus += [_rank_decreasing_rectangular(seed) for seed in range(5)]
     for t in corpus:
@@ -483,11 +569,44 @@ def test_direct_warm_start_keeps_the_floor_at_the_identity():
         cold = cap_direct_pd(t, tol=1e-10)
         start = expm_hermitian(np.diag([22.5, -22.5]).astype(complex))
         start_value = _geodesic_terms(t._kraus_stack @ start, _herm_basis(2))[0]
-        assert start_value - math.log(cold.value) > capax.capacity._DEGENERATE_DROP
+        assert start_value - math.log(cold.value) > 40.0
         report, r = capax.capacity._cap_direct(t, 1e-10, start)
         assert report.flags == ()
         assert abs(report.value - cold.value) <= 1e-13 * cold.value
         assert_allclose(hermitian_part(r @ r.conj().T), report.witness["x"], atol=0)
+
+
+@pytest.mark.filterwarnings("ignore:CP operator with n=")
+def test_zero_capacity_certificate_never_contradicts_the_rank_tests(monkeypatch):
+    """_zero_capacity's certificate of cap > 0, a nonsingular element of the
+    blown-up span, runs none of the three rank tests when it fires. It
+    declines on every zero-capacity corpus operator, and fires on every
+    make_op input with n, m <= 5 and K <= 3 that the rank tests find to have
+    cap > 0."""
+    tests = ("_common_kernel", "_singular_image", "_shrunk_subspace")
+    real = {name: getattr(capax.capacity, name) for name in tests}
+    ran = []
+    for name in tests:
+        monkeypatch.setattr(capax.capacity, name, lambda a, f=real[name]: ran.append(f) or f(a))
+
+    def certified(t: CPOperator) -> bool:
+        ran.clear()
+        _zero_capacity(t._kraus_stack)
+        return not ran
+
+    def rank_tests(t: CPOperator) -> bool:
+        return any(real[name](t._kraus_stack) for name in tests)
+
+    for t in _zero_capacity_corpus():
+        assert rank_tests(t) and not certified(t)
+    positive = 0
+    for n, m, k in itertools.product(range(1, 6), range(1, 6), range(1, 4)):
+        for seed in range(2):
+            t = make_op(n, m, k, seed=seed)
+            if not rank_tests(t):
+                assert certified(t)
+                positive += 1
+    assert positive >= 80
 
 
 def test_shrunk_subspace_test_passes_rank_non_decreasing_operators():
@@ -520,7 +639,9 @@ def test_geodesic_hessian_is_positive_semidefinite(n, m, k):
     -_CURVATURE_FLOOR, or below the rounding eps cond(T_b(I)) where that is
     larger. The K = 1 square shapes have a flat objective and read only
     rounding: (4, 4, 1) at seed 15, with cond(T_b(I)) = 2.9e4, reads
-    -1.4e-12."""
+    -1.4e-12. On the whitened stack, where the descent evaluates it, the
+    rounding is of order eps, so no curvature lies below -_CURVATURE_FLOOR
+    (that point reads -1.8e-16)."""
     basis = _herm_basis(n)
     for seed in range(20):
         b = make_op(n, m, k, seed=seed)._kraus_stack @ expm_hermitian(
@@ -529,6 +650,8 @@ def test_geodesic_hessian_is_positive_semidefinite(n, m, k):
         rounding = np.finfo(float).eps * np.linalg.cond(apply(CPOperator(tuple(b)), np.eye(n)))
         hess = _geodesic_terms(b, basis)[3]
         assert np.linalg.eigvalsh(hess).min() >= -max(_CURVATURE_FLOOR, rounding)
+        whitened = _geodesic_terms(_whitened(b)[1], basis)[3]
+        assert np.linalg.eigvalsh(whitened).min() >= -_CURVATURE_FLOOR
 
 
 def _criterion_06_corpus():
@@ -541,52 +664,48 @@ def _criterion_06_corpus():
 
 def test_direct_criterion_06_corpus_converges_in_few_evaluations(monkeypatch):
     """Every report meets the gradient test unflagged, and the mean number of
-    evaluations per solve (_geodesic_terms calls, trial points included)
+    evaluations per solve (_chart_terms calls, trial points included)
     stays under half of the 78.5 oracle calls that four BFGS restarts at
     gradient test 1e-8 took on this corpus."""
     calls = Counter()
-    real_terms = capax.capacity._geodesic_terms
+    real_terms = capax.capacity._chart_terms
 
     def counting(*args):
-        calls["_geodesic_terms"] += 1
+        calls["_chart_terms"] += 1
         return real_terms(*args)
 
-    monkeypatch.setattr(capax.capacity, "_geodesic_terms", counting)
+    monkeypatch.setattr(capax.capacity, "_chart_terms", counting)
     for t in _criterion_06_corpus():
         report = cap_direct_pd(t)
         assert report.flags == ()
         assert report.residual <= 1e-8
-    assert calls["_geodesic_terms"] >= 30
-    assert calls["_geodesic_terms"] / 30 < 78.5 / 2
+    assert calls["_chart_terms"] >= 30
+    assert calls["_chart_terms"] / 30 < 78.5 / 2
 
 
 def test_direct_keeps_its_last_evaluation(monkeypatch):
     """The descent stops on its Newton decrement before a trial step, so no
     evaluation is thrown away but the refused halvings: per solve,
     evaluations = kept steps + refused halvings + 1, and the value is the one
-    of the last evaluation. A halving is a trial whose chart step is exactly
-    half the one before."""
-    values, steps = [], []
-    real_terms, real_expm = capax.capacity._geodesic_terms, capax.capacity.expm_hermitian
+    of the last evaluation, the start's value plus the changes of the kept
+    trials. A halving is a trial whose chart step is exactly half the one
+    before."""
+    values, real_terms = [], capax.capacity._chart_terms
+    steps = _recording_steps(monkeypatch)
 
     def counting(*args):
         terms = real_terms(*args)
         values.append(terms[0])
         return terms
 
-    def recording(h):
-        steps.append(h)
-        return real_expm(h)
-
-    monkeypatch.setattr(capax.capacity, "_geodesic_terms", counting)
-    monkeypatch.setattr(capax.capacity, "expm_hermitian", recording)
+    monkeypatch.setattr(capax.capacity, "_chart_terms", counting)
     for t in _criterion_06_corpus():
         values.clear()
         steps.clear()
         report = cap_direct_pd(t)
         refused = sum(np.array_equal(b, 0.5 * a) for a, b in zip(steps, steps[1:]))
         assert len(values) == report.iterations + refused + 1
-        assert report.value == float(np.exp(values[-1]))
+        assert report.value == float(np.exp(_value_at(t, values, steps, len(values) - 1)))
 
 
 def test_scaling_identity_converges_immediately():
@@ -1090,6 +1209,20 @@ def _mixed_ladder(n: int, seed: int) -> CPOperator:
 
 
 @pytest.mark.filterwarnings("ignore:CP operator with n=")
+@pytest.mark.parametrize("n", [2, 3, 4, 5])
+def test_direct_mixed_ladders_read_their_capacity(n):
+    """On the whitened stack no evaluation of the descent loses the small
+    eigenvalues of T_b(I) as X runs off to infinity, so the mixed ladders,
+    cap = 1 approached but not attained, read 1 within 1e-6 and never 0.0
+    Degenerate (n = 4 and 5 did on the unwhitened stack); no value falls
+    below the infimum by more than rounding."""
+    for seed in (1, 2, 3):
+        report = cap_direct_pd(_mixed_ladder(n, seed))
+        assert "Degenerate" not in report.flags
+        assert 1.0 - 1e-12 <= report.value <= 1.0 + 1e-6
+
+
+@pytest.mark.filterwarnings("ignore:CP operator with n=")
 @pytest.mark.parametrize("n", [3, 4, 5])
 def test_unitary_search_mixed_ladders_never_read_zero(n):
     """Past the rank gates a T(X) that reads as singular inside the oracle
@@ -1107,25 +1240,31 @@ def test_unitary_search_mixed_ladders_never_read_zero(n):
 
 @pytest.mark.filterwarnings("ignore:CP operator with n=")
 def test_cap_flags_a_certified_lower_bound_above_its_value(monkeypatch):
-    """On the mixed ladders at n = 4 the unitary check certifies cap > 0.9;
-    a direct value below that bound (0.0 Degenerate on all three, the open
-    direct-route defect of roadmap item 1) is flagged
-    CertifiedLowerAboveValue, and the value is kept."""
+    """On the mixed ladders at n = 4 the unitary check certifies cap > 0.9,
+    and the direct value lies above that bound, so it is not flagged. A
+    direct value below the bound, injected here since the direct route no
+    longer gives one on these inputs, is flagged CertifiedLowerAboveValue,
+    and the value is kept."""
     checks, real_search = [], capax.capacity.cap_unitary_search
+    real_direct = capax.capacity.cap_direct_pd
 
     def recording(*args, **kwargs):
         checks.append(real_search(*args, **kwargs))
         return checks[-1]
 
     monkeypatch.setattr(capax.capacity, "cap_unitary_search", recording)
+    config = CapacityConfig(check_psi=True, restarts_unitary=2)
     for seed in (1, 2, 3):
         t = _mixed_ladder(4, seed)
-        report = cap(t, CapacityConfig(check_psi=True, restarts_unitary=2))
-        lower = checks[-1].lower
-        assert lower > 0.9
-        assert report.value == cap_direct_pd(t).value
-        flagged = "CertifiedLowerAboveValue" in report.flags
-        assert flagged == (report.value < lower)
+        report = cap(t, config)
+        assert checks[-1].lower > 0.9
+        assert report.value == real_direct(t).value >= checks[-1].lower
+        assert "CertifiedLowerAboveValue" not in report.flags
+    low = dataclasses.replace(real_direct(_mixed_ladder(4, 1)), value=0.5)
+    monkeypatch.setattr(capax.capacity, "cap_direct_pd", lambda t, tol: low)
+    report = cap(_mixed_ladder(4, 1), config)
+    assert report.value == 0.5 < checks[-1].lower
+    assert "CertifiedLowerAboveValue" in report.flags
 
 
 def test_unitary_lower_is_below_every_unflagged_value():

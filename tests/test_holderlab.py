@@ -106,7 +106,7 @@ def test_probe_tol_is_the_accuracy_of_log_cap(monkeypatch):
     raised by stopping early."""
     t = make_op(2, 2, 2, seed=31)
     direction = random_direction(t, rng=5)
-    real_terms, real_solve = capax.capacity._geodesic_terms, capax.holderlab._cap_direct
+    real_terms, real_solve = capax.capacity._chart_terms, capax.holderlab._cap_direct
     calls, reports = [], []
 
     def counting(*args):
@@ -118,7 +118,7 @@ def test_probe_tol_is_the_accuracy_of_log_cap(monkeypatch):
         reports.append(solved[0])
         return solved
 
-    monkeypatch.setattr(capax.capacity, "_geodesic_terms", counting)
+    monkeypatch.setattr(capax.capacity, "_chart_terms", counting)
     monkeypatch.setattr(capax.holderlab, "_cap_direct", recording)
     runs = {}
     for tol in (1e-2, 1e-10):
