@@ -163,14 +163,16 @@ def run_probe(
 ) -> ProbeRun:
     """Sweep dyadic perturbation scales and fit the local power law.
 
-    The rows follow the order of scales, though the solves run in
-    ascending scale. The fit uses only samples whose capacity change exceeds
-    noise_floor and needs at least four of them; otherwise the fitted fields
-    stay None and a flag records why.
+    The default scales 2^-7 ... 2^-17 keep the fit in the local regime: at
+    larger scales second-order terms of cap can change the sign of the
+    difference. The rows follow the order of scales, though the solves run
+    in ascending scale. The fit uses only samples whose capacity change
+    exceeds noise_floor and needs at least four of them; otherwise the
+    fitted fields stay None and a flag records why.
     """
     direction = _check_direction(base, direction)
     if scales is None:
-        scales = 2.0 ** -np.arange(2, 13)
+        scales = 2.0 ** -np.arange(7, 18)
     scales = np.asarray(scales, dtype=float)
 
     base_report, start = _cap_direct(base, tol)
